@@ -52,7 +52,7 @@ from .harness import (
     table4_spec,
     write_trajectories,
 )
-from .model import DerivedQuantities, DynamicsParams, MarketParams, ParamError, derive
+from .model import DerivedQuantities, DynamicsParams, MarketParams, ParamError, SolverError, derive
 from .netgen import LiabilityGraph, ShockVector, pair_uniform, sample_network, sample_shocks
 from .odeflow import (
     AttractorReport,

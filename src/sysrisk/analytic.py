@@ -8,16 +8,20 @@ and the three thresholds of the risk-free fraction:
   eps_bar_2  above which every risky agent defaults (the systemic regime),
   eps_bar    at which q jumps from 1-delta to 1.
 
-Parameters with v <= w(1+d) are fully covered by the closed forms; for larger
-v the same quantities are computed from the scalar fixed point directly and
-flagged `outside_theory`.
+Parameters with v <= w(1+d) are fully covered by the closed forms.  For larger
+v the limit payments solve x_i = clip(k_i - v + c_eps * x_bar, 0, y) per shock
+class i, with x_bar = delta * x_u + (1 - delta) * x_d; this two-class fixed
+point is solved exactly, regime by regime, by the kernel the finite complete
+graph uses (`clearing.two_class_clearing`), and the results are flagged
+`outside_theory`.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-from .model import DynamicsParams, MarketParams, ParamError, derive
+from .clearing import two_class_clearing
+from .model import DynamicsParams, MarketParams, ParamError, SolverError, derive
 
 
 class DefaultRegime(enum.Enum):
@@ -52,62 +56,30 @@ class Thresholds:
     outside_theory: bool = False
 
 
-def _scalar_fixed_point(params: MarketParams, eps: float) -> float:
-    """Greatest solution of x = E[min((K + c*x - v)+, y)] by bisection.
-
-    The defect x -> f(x) - x is non-increasing (the map's slope is at most
-    c <= 1), so the root is unique up to flat stretches and bisection from
-    [0, y] lands on it.
-    """
-    der = derive(params, eps)
-    y, c, v = der.y, der.c_eps, params.v
-
-    def f(x: float) -> float:
-        up = min(max(der.k_u + c * x - v, 0.0), y)
-        dn = min(max(der.k_d + c * x - v, 0.0), y)
-        return params.delta * up + (1 - params.delta) * dn
-
-    lo, hi = 0.0, y
-    if f(hi) >= hi:
-        return hi
-    if f(lo) <= lo:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _limit_core(params: MarketParams, eps: float, boundary_rules: bool) -> ClearingLimit:
     der = derive(params, eps)
     if boundary_rules and eps == 1.0:
         return ClearingLimit(x_bar=der.y, p_d=0.0, regime=DefaultRegime.NO_DEFAULT,
                              degenerate=True)
+    c, delta = der.c_eps, params.delta
     if der.w_low >= 0:  # down-move proceeds cover senior debt: closed forms hold
-        c = der.c_eps
         if c >= der.a1:
             return ClearingLimit(der.y, 0.0, DefaultRegime.NO_DEFAULT)
         if c >= der.a2:
-            x = (params.delta * der.y + (1 - params.delta) * der.w_low) \
-                / (1 - (1 - params.delta) * c)
-            return ClearingLimit(x, 1 - params.delta, DefaultRegime.SHOCK_DEFAULT)
+            x = (delta * der.y + (1 - delta) * der.w_low) / (1 - (1 - delta) * c)
+            return ClearingLimit(x, 1 - delta, DefaultRegime.SHOCK_DEFAULT)
         return ClearingLimit(der.expW / (1 - c), 1.0, DefaultRegime.ALL_DEFAULT)
 
-    # senior debt exceeds the down-move proceeds: no closed form, solve directly
-    x = _scalar_fixed_point(params, eps)
-    slack = 1e-12 * max(der.y, 1.0)
-    dn_def = der.k_d + der.c_eps * x - params.v < der.y - slack
-    up_def = der.k_u + der.c_eps * x - params.v < der.y - slack
-    p_d = params.delta * up_def + (1 - params.delta) * dn_def
-    if p_d == 0.0:
-        regime = DefaultRegime.NO_DEFAULT
-    elif up_def:
-        regime = DefaultRegime.ALL_DEFAULT
-    else:
-        regime = DefaultRegime.SHOCK_DEFAULT
+    # senior debt exceeds the down-move proceeds: no closed form, solve the
+    # two-class fixed point x_i = clip(k_i - v + c * x_bar, 0, y) exactly
+    row = (c * delta, c * (1 - delta))
+    x_u, x_d, _ = two_class_clearing((der.k_u - params.v, der.k_d - params.v),
+                                     (row, row), der.y)
+    x = delta * x_u + (1 - delta) * x_d
+    up_def, dn_def = (x_i < der.y - 1e-12 * max(der.y, 1.0) for x_i in (x_u, x_d))
+    p_d = delta * up_def + (1 - delta) * dn_def
+    regime = (DefaultRegime.NO_DEFAULT if p_d == 0.0 else
+              DefaultRegime.ALL_DEFAULT if up_def else DefaultRegime.SHOCK_DEFAULT)
     return ClearingLimit(x, p_d, regime, outside_theory=True)
 
 
@@ -187,9 +159,9 @@ def thresholds(params: MarketParams, check: bool = True) -> Thresholds:
 
     For v <= w(1+d) these come from closed-form root-finding; `check=True`
     additionally locates eps_bar by direct bisection on q and raises if the
-    two routes disagree beyond 1e-6.  For larger v everything is computed by
-    bisection on the fixed-point-backed quantities (assumed monotone) and the
-    result is flagged.
+    two routes disagree beyond 1e-6 (SolverError).  For larger v everything is
+    computed by bisection on the exactly solved limit quantities (assumed
+    monotone in eps) and the result is flagged.
     """
     w, v, alpha, delta = params.w, params.v, params.alpha, params.delta
     u, d, r_s, r_b = params.u, params.d, params.r_s, params.r_b
@@ -242,7 +214,7 @@ def thresholds(params: MarketParams, check: bool = True) -> Thresholds:
     if check:
         direct = _eps_bar_bisect(params, eps1, 1.0)
         if abs(direct - ebar) > 1e-6:
-            raise RuntimeError(
+            raise SolverError(
                 f"threshold routes disagree: quadratic {ebar!r} vs bisection {direct!r}")
 
     return Thresholds(eps1, eps2, ebar)

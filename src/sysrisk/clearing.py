@@ -1,35 +1,37 @@
 """Clearing payments on a finite round network, and the realized returns.
 
 Each risky borrower owes y in total; what it can actually pay depends on its
-shock draw and on what it receives from other borrowers, giving the fixed
-point
+shock draw and on what it receives from other borrowers, giving the fixed point
 
     X_i = min( (K_i + claims_i(X) - v)+ , y ),   claims_i = sum_j X_j L_ji / y.
 
-The operator is monotone and bounded, so plain iteration from the full
-payment vector X = y converges to the greatest solution.  On the complete
-graph all up-shocked agents stay interchangeable (likewise down-shocked), so
-the sweep collapses to two scalars; sampled graphs iterate with one matrix
-product per sweep.
+The map is monotone and piecewise linear; the clearing vector is its greatest
+fixed point.  On the complete graph all up-shocked agents stay interchangeable
+(likewise down-shocked), so there are two unknowns, solved exactly regime by
+regime (Eisenberg & Noe 2001), as is the same two-class problem of the
+large-network limit in `analytic`.  Sampled graphs iterate the map from full
+payment, one matrix product per sweep, until no payment moves.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import MarketParams
+from .model import MarketParams, SolverError
 from .netgen import LiabilityGraph, ShockVector
 
-_WINDOW = 3  # consecutive small sweeps required before declaring convergence
+_SLACK = 1e-12         # residual tolerance relative to y; also the singular-system cutoff
+_SPARSE_TOL = 1e-9     # sparse sweeps stop once no payment moves more, relative to y
+_SPARSE_CAP = 100_000  # sparse sweeps allowed before giving up
 
 
 @dataclass(frozen=True)
 class ClearingResult:
     X: np.ndarray        # (n2,) payments, each in [0, y]
-    iterations: int
-    converged: bool
+    iterations: int      # linear systems solved (complete graph) or sweeps (sampled)
     claims: np.ndarray   # (n,) received amounts per agent
 
 
@@ -46,36 +48,56 @@ class DefaultStats(NamedTuple):
     degenerate: bool = False
 
 
-def solve_clearing(graph: LiabilityGraph, shocks: ShockVector, params: MarketParams,
-                   tol: float = 1e-9, max_iter: int = 100_000) -> ClearingResult:
-    """Greatest clearing vector by iteration from full payment."""
-    n1, n2, y = graph.n1, graph.n2, graph.y
-    n = n1 + n2
+def two_class_clearing(b: tuple[float, float],
+                       m: tuple[tuple[float, float], tuple[float, float]],
+                       y: float) -> tuple[float, float, int]:
+    """Greatest (x_u, x_d) in [0, y]^2 with x_i = clip(b_i + sum_j m_ij x_j, 0, y).
+
+    `m` is non-negative, so the map is monotone and has a greatest fixed point.
+    Each class pays 0, y, or the part that solves its row of x = b + m x; the
+    nine regime assignments are solved by Cramer's rule, and the greatest
+    solution the map reproduces to within 1e-12 * y is returned with the count
+    of systems solved.  Raises SolverError if no solution passes that check.
+    """
+    (m_uu, m_ud), (m_du, m_dd), (b_u, b_d) = *m, b
+    slack, best, solves = _SLACK * y, None, 0
+    # each class's equation (a . x = r) when it pays 0, part, or y
+    eqs_u = ((1.0, 0.0, 0.0), (1.0 - m_uu, -m_ud, b_u), (1.0, 0.0, y))
+    eqs_d = ((0.0, 1.0, 0.0), (-m_du, 1.0 - m_dd, b_d), (0.0, 1.0, y))
+    for (a_uu, a_ud, r_u), (a_du, a_dd, r_d) in itertools.product(eqs_u, eqs_d):
+        det = a_uu * a_dd - a_ud * a_du
+        if abs(det) <= _SLACK:  # singular (c = 1 at eps = 0): no solution or a
+            continue            # line of them, whose ends other regimes reach
+        solves += 1
+        x_u = min(max((r_u * a_dd - a_ud * r_d) / det, 0.0), y)
+        x_d = min(max((a_uu * r_d - a_du * r_u) / det, 0.0), y)
+        if (abs(min(max(b_u + m_uu * x_u + m_ud * x_d, 0.0), y) - x_u) <= slack
+                and abs(min(max(b_d + m_du * x_u + m_dd * x_d, 0.0), y) - x_d) <= slack
+                and (best is None or x_u + x_d > best[0] + best[1])):
+            best = (x_u, x_d)
+    if best is None:
+        raise SolverError(f"two-class clearing: no regime passes the residual check "
+                          f"(b={b}, m={m}, y={y})")
+    return best[0], best[1], solves
+
+
+def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
+                   params: MarketParams) -> ClearingResult:
+    """Greatest clearing vector: exact on the complete graph, iterated on sampled ones."""
+    n1, n2, n, y = graph.n1, graph.n2, graph.n, graph.y
     if n2 == 0 or y <= 0.0:
-        return ClearingResult(X=np.zeros(n2), iterations=0, converged=True,
-                              claims=np.zeros(n))
+        return ClearingResult(X=np.zeros(n2), iterations=0, claims=np.zeros(n))
     v = params.v
-    threshold = n2 * tol * y
-    streak = 0
-    iterations = 0
 
     if graph.indicator is None:
         sig2 = graph.w_g2 / y
         n_u = int(shocks.up.sum())
         n_d = n2 - n_u
-        x_u = y if n_u else 0.0   # scalars for empty shock classes stay 0
-        x_d = y if n_d else 0.0
-        while iterations < max_iter:
-            total = n_u * x_u + n_d * x_d
-            new_u = min(max(shocks.k_u + sig2 * (total - x_u) - v, 0.0), y) if n_u else 0.0
-            new_d = min(max(shocks.k_d + sig2 * (total - x_d) - v, 0.0), y) if n_d else 0.0
-            assert new_u <= x_u + 1e-12 * y and new_d <= x_d + 1e-12 * y
-            change = n_u * abs(new_u - x_u) + n_d * abs(new_d - x_d)
-            x_u, x_d = new_u, new_d
-            iterations += 1
-            streak = streak + 1 if change < threshold else 0
-            if streak >= _WINDOW:
-                break
+        # an empty shock class is dropped: zero its row, and its column is zero already
+        row_u = (sig2 * (n_u - 1), sig2 * n_d) if n_u else (0.0, 0.0)
+        row_d = (sig2 * n_u, sig2 * (n_d - 1)) if n_d else (0.0, 0.0)
+        x_u, x_d, iterations = two_class_clearing((shocks.k_u - v, shocks.k_d - v),
+                                                  (row_u, row_d), y)
         X = np.where(shocks.up, x_u, x_d)
         total = n_u * x_u + n_d * x_d
         claims = np.empty(n)
@@ -85,20 +107,16 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector, params: MarketPar
         weight_row = np.where(np.arange(n) < n1, graph.w_g1, graph.w_g2)
         B = graph.indicator * (weight_row / y)  # B[j, i]: share j pays to i
         X = np.full(n2, y)
-        while iterations < max_iter:
-            own = (X @ B)[n1:]
-            new = np.clip(shocks.k + own - v, 0.0, y)
-            assert np.all(new <= X + 1e-12 * y)
-            change = float(np.abs(new - X).sum())
+        for iterations in range(1, _SPARSE_CAP + 1):
+            new = np.clip(shocks.k + (X @ B)[n1:] - v, 0.0, y)
+            if np.abs(new - X).max() <= _SPARSE_TOL * y:
+                break  # keep X: its residual is the one just measured
             X = new
-            iterations += 1
-            streak = streak + 1 if change < threshold else 0
-            if streak >= _WINDOW:
-                break
+        else:
+            raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} sweeps")
         claims = X @ B
 
-    return ClearingResult(X=X, iterations=iterations,
-                          converged=streak >= _WINDOW, claims=claims)
+    return ClearingResult(X=X, iterations=iterations, claims=claims)
 
 
 def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,

@@ -49,6 +49,10 @@ class ExperimentConfig:
     out_dir: str | None = None
     label: str = ""
 
+    def __post_init__(self) -> None:
+        if not self.seeds or min(self.seeds) < 0:
+            raise ParamError(f"run.seeds: need one or more non-negative seeds, got {self.seeds}")
+
 
 # --------------------------------------------------------------------------
 # flat config files:  "market.w = 70" style, one key per line

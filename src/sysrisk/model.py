@@ -14,6 +14,10 @@ class ParamError(ValueError):
     """A parameter combination violates a model constraint."""
 
 
+class SolverError(RuntimeError):
+    """A numerical routine failed to produce an exact or certified answer."""
+
+
 def _require(cond: bool, name: str, msg: str) -> None:
     if not cond:
         raise ParamError(f"{name}: {msg}")

@@ -27,7 +27,6 @@ class RoundRecord:
     mean_r1: float | None = None
     mean_r2: float | None = None
     t: float | None = None
-    clearing_converged: bool = True
 
 
 @dataclass

@@ -189,7 +189,8 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
     new_n1 = n1 + xi + Xi1 - Xi2
     new_n = n + N_k - D
     new_n2 = new_n - new_n1
-    assert new_n1 >= 0 and new_n2 >= 0, "group sizes must stay non-negative"
+    if new_n1 < 0 or new_n2 < 0:
+        raise RuntimeError(f"round {state.round}: negative group sizes {new_n1}, {new_n2}")
 
     keep1 = np.ones(n1, dtype=bool)
     keep1[to_g2_local] = False
@@ -203,7 +204,9 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
     ids2 = np.concatenate([state.ids2[keep2],
                            state.ids1[np.asarray(to_g2_local, dtype=np.intp)],
                            fresh[~joins_g1]])
-    assert ids1.size == new_n1 and ids2.size == new_n2
+    if ids1.size != new_n1 or ids2.size != new_n2:
+        raise RuntimeError(f"round {state.round}: {ids1.size}, {ids2.size} ids for "
+                           f"group sizes {new_n1}, {new_n2}")
 
     psi = new_n / (state.round + 1 + dyn.n0)
     record = RoundRecord(
@@ -211,7 +214,6 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
         default_frac=stats.count / n, xi=xi, Xi1=Xi1, Xi2=Xi2, departures=D,
         mean_r1=float(returns.r1.mean()) if n1 else None,
         mean_r2=float(returns.r2.mean()) if n2 else None,
-        clearing_converged=res.converged,
     )
     new_state = PopulationState(round=state.round + 1, n1=new_n1, n2=new_n2, psi=psi,
                                 last_returns=returns, ids1=ids1, ids2=ids2,

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,16 @@ def test_bad_inputs_exit_2(tmp_path, config_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     assert main(["simulate", "--config", str(config_path), "--seed", "x"]) == 2
     capsys.readouterr()  # swallow the error text
+
+
+@pytest.mark.parametrize("seeds", ["", "0,-1"])
+def test_bad_seed_lists_exit_2(tmp_path, capsys, seeds):
+    preset = Path(__file__).resolve().parent.parent / "configs" / "systemic_adaptive.txt"
+    bad = tmp_path / "seeds.txt"
+    bad.write_text(re.sub(r"(?m)^run\.seeds = .*$", f"run.seeds = {seeds}",
+                          preset.read_text()))
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert "run.seeds" in capsys.readouterr().err
 
 
 def test_reproduce_figures_smoke(tmp_path, monkeypatch, capsys):
