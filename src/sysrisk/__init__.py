@@ -12,8 +12,8 @@ from .analytic import (
     DefaultRegime,
     LimitReturns,
     Thresholds,
-    beta_kappa,
     clearing_limit,
+    drift_rates,
     limit_returns,
     q_eps,
     thresholds,
@@ -59,7 +59,6 @@ from .odeflow import (
     AvgLimit,
     DegenerateFlowError,
     OdeState,
-    PiecewiseSpec,
     avg_dynamics,
     avg_limit,
     classify_attractors,
@@ -67,7 +66,6 @@ from .odeflow import (
     ode_numeric,
     ode_solution,
     ode_solution_departures,
-    piecewise_spec,
 )
 from .records import RoundRecord, Trajectory
 from .replicator import PopulationState, estimate_limit, initial_state, run_simulation, step_round

@@ -1,8 +1,10 @@
 """Large-network limit theory.
 
-Closed forms for the scalar clearing limit, the limiting per-group returns,
-the probability q that a risk-free agent's return weakly beats a risky one's,
-and the three thresholds of the risk-free fraction:
+Closed forms for the scalar clearing limit, the limiting per-group returns
+and their mean gap (the averaging dynamics' driver), the probability q that a
+risk-free agent's return weakly beats a risky one's, the imitation drift
+rates beta and kappa = beta(1 - 2 delta) of the flow, and the three
+thresholds of the risk-free fraction:
 
   eps_bar_1  below which nobody defaults,
   eps_bar_2  above which every risky agent defaults (the systemic regime),
@@ -21,7 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from .clearing import two_class_clearing
-from .model import DynamicsParams, MarketParams, ParamError, SolverError, derive
+from .model import DynamicsParams, MarketParams, SolverError, derive
 
 
 class DefaultRegime(enum.Enum):
@@ -104,6 +106,15 @@ def _returns_core(params: MarketParams, eps: float, boundary_rules: bool) -> Lim
 def limit_returns(params: MarketParams, eps: float) -> LimitReturns:
     """Limiting returns per group; risky returns are split by shock outcome."""
     return _returns_core(params, eps, boundary_rules=True)
+
+
+def mean_return_gap(params: MarketParams, eps: float) -> float:
+    """Risk-free minus expected risky limit return at fraction eps.
+
+    Its sign drives the averaging dynamics and their stability check.
+    """
+    lr = limit_returns(params, eps)
+    return lr.r1 - (params.delta * lr.r2_up + (1.0 - params.delta) * lr.r2_down)
 
 
 def _q_core(params: MarketParams, eps: float, boundary_rules: bool) -> float:
@@ -220,16 +231,12 @@ def thresholds(params: MarketParams, check: bool = True) -> Thresholds:
     return Thresholds(eps1, eps2, ebar)
 
 
-def beta_kappa(params: MarketParams, dyn: DynamicsParams, eps: float) -> tuple[float, float]:
-    """Net imitation drift rate beta and its eps-dependent effective value kappa.
+def drift_rates(params: MarketParams, dyn: DynamicsParams) -> tuple[float, float]:
+    """Net imitation drift rate beta and its value kappa below eps_bar.
 
     beta aggregates arrival and switching pressure; below eps_bar the return
-    comparison favors the risky side only after a down-shock, which flips the
-    drift by (1 - 2*delta).
+    comparison favors the risky side only after a down-shock, which scales
+    the drift by (1 - 2*delta).  At and above eps_bar the drift is beta.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ParamError(f"eps: fraction {eps!r} outside [0, 1]")
     beta = (2 * dyn.b_n - 1) * dyn.mean_N + (2 * dyn.b_s - 1) * dyn.mean_S
-    th = thresholds(params, check=False)
-    kappa = beta * (1 - 2 * params.delta) if eps < th.eps_bar else beta
-    return beta, kappa
+    return beta, beta * (1 - 2 * params.delta)

@@ -86,14 +86,15 @@ def cmd_ode(args: argparse.Namespace) -> int:
         dyn = replace(dyn, eps0=args.eps0)
         config = replace(config, dynamics=dyn)
     rounds = args.rounds if args.rounds is not None else dyn.rounds
+    if rounds < 0:
+        raise ParamError(f"--rounds: horizon cannot be negative, got {rounds}")
     if args.method == "closed":
         trajectory = harness.flow_curve(config, dyn.eps0, args.psi0, 0, rounds,
                                         every=args.every)
     else:
-        effective = dyn if config.departures and dyn.mean_L > 0 else replace(dyn, mean_L=0.0)
         horizon = harness.round_clock(dyn.n0, rounds)
-        trajectory = ode_numeric(config.market, effective, dyn.eps0, args.psi0,
-                                 horizon, args.step)
+        trajectory = ode_numeric(config.market, harness.flow_dynamics(config), dyn.eps0,
+                                 args.psi0, horizon, args.step)
     stream, path = _out_file(args, "ode.csv")
     harness.write_trajectories(stream if stream is not None else path, [trajectory])
     if path is not None:

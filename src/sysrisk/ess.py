@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .analytic import limit_returns, q_eps
+from .analytic import drift_rates, mean_return_gap, q_eps
 from .model import DynamicsParams, MarketParams, ParamError
 
 
@@ -70,8 +70,8 @@ def switch_utility_gap(params: MarketParams, dyn: DynamicsParams,
     return (eps_mut - eps_cand) * (2.0 * q_eps(params, eps_x) - 1.0) * (2.0 * dyn.b_s - 1.0)
 
 
-def _beta_sign_gate(dyn: DynamicsParams) -> bool:
-    beta = (2.0 * dyn.b_n - 1.0) * dyn.mean_N + (2.0 * dyn.b_s - 1.0) * dyn.mean_S
+def _beta_sign_gate(params: MarketParams, dyn: DynamicsParams) -> bool:
+    beta, _ = drift_rates(params, dyn)
     bs = 2.0 * dyn.b_s - 1.0
     return beta * bs > 0.0 or (beta == 0.0 and bs == 0.0)
 
@@ -112,7 +112,7 @@ def check_mixed_ess(params: MarketParams, dyn: DynamicsParams, candidate: float,
     return EssVerdict(candidate=candidate, is_ess=ok, margin=worst,
                       x_bar_used=best_uniform_x if ok else None,
                       mode=EssMode.SWITCH_UTILITY,
-                      predominant_switching=_beta_sign_gate(dyn))
+                      predominant_switching=_beta_sign_gate(params, dyn))
 
 
 def check_multi_mutation(params: MarketParams, dyn: DynamicsParams, candidate: float,
@@ -154,13 +154,7 @@ def check_multi_mutation(params: MarketParams, dyn: DynamicsParams, candidate: f
     return EssVerdict(candidate=candidate, is_ess=ok, margin=worst,
                       x_bar_used=max_share if ok else None,
                       mode=EssMode.MULTI_MUTATION,
-                      predominant_switching=_beta_sign_gate(dyn))
-
-
-def _mean_return_gap(params: MarketParams, eps: float) -> float:
-    """Risk-free minus expected risky return at mixture eps."""
-    lr = limit_returns(params, eps)
-    return lr.r1 - (params.delta * lr.r2_up + (1.0 - params.delta) * lr.r2_down)
+                      predominant_switching=_beta_sign_gate(params, dyn))
 
 
 def check_avg_ess(params: MarketParams, candidate: float, cbar: float = 1.0,
@@ -184,7 +178,7 @@ def check_avg_ess(params: MarketParams, candidate: float, cbar: float = 1.0,
     # flag parameter sets where the return gap is not single-crossing
     signs = []
     for i in range(1, 400):
-        g = _mean_return_gap(params, i / 400.0)
+        g = mean_return_gap(params, i / 400.0)
         if g != 0.0:
             signs.append(g > 0.0)
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -196,7 +190,7 @@ def check_avg_ess(params: MarketParams, candidate: float, cbar: float = 1.0,
         adv = []
         for x in xs:
             eps_x = x * mut + (1.0 - x) * candidate
-            adv.append((candidate - mut) * _mean_return_gap(params, eps_x))
+            adv.append((candidate - mut) * mean_return_gap(params, eps_x))
         prefix = 0
         while prefix < len(xs) and adv[prefix] > 0.0:
             prefix += 1

@@ -20,9 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .analytic import thresholds
+from .analytic import drift_rates, thresholds
 from .model import DynamicsParams, MarketParams, ParamError
-from .odeflow import classify_attractors, ode_solution, ode_solution_departures
+from .odeflow import (_clock_terms, classify_attractors, ode_solution_departures,
+                      round_clock)
 from .records import RoundRecord, Trajectory
 from .replicator import estimate_limit, run_simulation
 
@@ -212,24 +213,21 @@ def _run_payloads(payloads: list[tuple[ExperimentConfig, int, bool]],
 # --------------------------------------------------------------------------
 # theory columns
 
-def round_clock(n0: int, rounds: int) -> float:
-    return math.fsum(1.0 / (j + n0) for j in range(1, rounds + 1))
+def flow_dynamics(config: ExperimentConfig) -> DynamicsParams:
+    """Dynamics as the flow sees them: mean_L zeroed unless departures are on."""
+    return config.dynamics if config.departures else replace(config.dynamics, mean_L=0.0)
 
 
 def theory_at_horizon(config: ExperimentConfig) -> float:
     """Flow prediction for the risk-free fraction at the config's horizon."""
     dyn = config.dynamics
     t = round_clock(dyn.n0, dyn.rounds)
-    flow = ode_solution_departures if config.departures and dyn.mean_L > 0 else ode_solution
-    return flow(config.market, dyn, dyn.eps0, 1.0, t).eps
+    return ode_solution_departures(config.market, flow_dynamics(config), dyn.eps0, 1.0, t).eps
 
 
 def asymptotic_limit(config: ExperimentConfig) -> float:
     """The attractor whose basin holds the config's starting fraction."""
-    dyn = config.dynamics
-    if not (config.departures and dyn.mean_L > 0):
-        dyn = replace(dyn, mean_L=0.0)
-    report = classify_attractors(config.market, dyn)
+    report = classify_attractors(config.market, flow_dynamics(config))
     eps0 = config.dynamics.eps0
     for (lo, hi), (eps_star, _) in zip(report.doa, report.attractors):
         if lo <= eps0 < hi or (hi == 1.0 and eps0 == 1.0):
@@ -341,7 +339,7 @@ def reproduce_table(spec: TableSpec, out_dir: str | Path | None = None) -> Table
         tails = [tail for _, tail, _ in chunk]
         median, mean, stderr, escapes = _summarize(tails)
         th = thresholds(config.market, check=False)
-        beta = (2 * dyn.b_n - 1) * dyn.mean_N + (2 * dyn.b_s - 1) * dyn.mean_S
+        beta, _ = drift_rates(config.market, dyn)
         limit = asymptotic_limit(config)
         horizon_est = theory_at_horizon(config)
         # Gate each row against the theory value that applies at its horizon:
@@ -355,7 +353,7 @@ def reproduce_table(spec: TableSpec, out_dir: str | Path | None = None) -> Table
             eps_theory=limit, eps_theory_T=horizon_est,
             eps_mc_median=median, eps_mc_mean=mean, eps_mc_stderr=stderr,
             escapes=escapes, eps_bar=th.eps_bar, eps_bar_1=th.eps_bar_1,
-            beta=beta, mean_L=dyn.mean_L if config.departures else 0.0,
+            beta=beta, mean_L=flow_dynamics(config).mean_L,
             rounds=dyn.rounds, n_seeds=len(config.seeds), tol=row.tol,
             passed=abs(median - target) <= row.tol))
     report = TableReport(name=spec.name, rows=tuple(rows))
@@ -421,13 +419,16 @@ def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
     Rows carry only eps/psi (and the flow time in `t`); the integer columns
     stay None so the CSV schema is shared with simulated runs.
     """
-    dyn = config.dynamics
-    flow = ode_solution_departures if config.departures and dyn.mean_L > 0 else ode_solution
-    t0 = round_clock(dyn.n0, first_round)
+    if every < 1 or not 0 <= first_round <= last_round:
+        raise ParamError(f"flow rounds: need every >= 1 and 0 <= first <= last, got "
+                         f"every={every}, first={first_round}, last={last_round}")
+    dyn = flow_dynamics(config)
+    terms = _clock_terms(dyn.n0, last_round)
+    t0 = math.fsum(terms[:first_round])
     records = []
     for rnd in range(first_round, last_round + 1, every):
-        t = round_clock(dyn.n0, rnd) - t0
-        state = flow(config.market, dyn, eps0, psi0, t)
+        t = math.fsum(terms[:rnd]) - t0
+        state = ode_solution_departures(config.market, dyn, eps0, psi0, t)
         records.append(RoundRecord(eps=state.eps, psi=state.psi, t=t))
     return Trajectory(records=records, kind="ode", label=config.label)
 
@@ -569,7 +570,8 @@ def reproduce_figures(out_dir: str | Path, seed: int = 0) -> list[Path]:
     for config in figure_configs(seed):
         results = run_many(config, keep_trajectories=True)
         trajectory = results[0][2]
-        assert trajectory is not None
+        if trajectory is None:
+            raise RuntimeError(f"{config.label}: the run kept no trajectory")
         tag = f"eps0_{config.dynamics.eps0:g}".replace(".", "p")
         mc_path = out / f"trajectory_{tag}.csv"
         write_trajectories(mc_path, [trajectory])

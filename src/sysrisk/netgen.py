@@ -38,18 +38,6 @@ class LiabilityGraph:
     def n(self) -> int:
         return self.n1 + self.n2
 
-    def lenders_of(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Creditor indices and edge weights for borrower j (local index)."""
-        if not 0 <= j < self.n2:
-            raise IndexError(f"borrower index {j} out of range")
-        if self.indicator is None:
-            idx = np.concatenate([np.arange(self.n1 + j, dtype=np.int64),
-                                  np.arange(self.n1 + j + 1, self.n, dtype=np.int64)])
-        else:
-            idx = np.flatnonzero(self.indicator[j]).astype(np.int64)
-        weights = np.where(idx < self.n1, self.w_g1, self.w_g2)
-        return idx, weights
-
 
 @dataclass(frozen=True)
 class ShockVector:

@@ -10,16 +10,20 @@ departure mass E_dep equals E[L] wherever defaults occur (above eps_bar_1)
 and vanishes at eps = 1.  Between thresholds the solution is an explicit
 time-changed logistic, so trajectories are advanced segment by segment with
 bisection only for the crossing times.  A classical fourth-order integrator
-of the same right-hand side serves as an independent cross-check.  The module
-also houses the attractor classification, the finite-round estimate used for
-table predictions, and the average-return variant of the dynamics.
+of the same right-hand side serves as an independent cross-check.
+
+Flow time is measured on the round clock: round j of a run that started
+from n0 agents advances it by 1/(j + n0), and `round_clock` is the one
+place that sum is formed.  The module also houses the attractor
+classification, the finite-round estimate used for table predictions, and
+the average-return variant of the dynamics.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .analytic import clearing_limit, limit_returns, thresholds
+from .analytic import clearing_limit, drift_rates, mean_return_gap, thresholds
 from .model import DynamicsParams, MarketParams, ParamError
 from .records import RoundRecord, Trajectory
 
@@ -50,29 +54,31 @@ class _Segment:
 
 
 @dataclass(frozen=True)
-class PiecewiseSpec:
-    """Per-interval constants of the piecewise-logistic closed form.
+class _FlowTable:
+    """Everything a flow run needs from the market, built once per run.
 
-    An interval with mu = None has kappa = 0 and carries pure departure
-    drift; its exponent entry is e_dep / a.
+    `segs` partitions [0, 1] at the thresholds eps_bar_1 and eps_bar; `p0`
+    is the limit default probability at eps = 0 when departures are on
+    (else 0), which decides whether defaulters leave below eps_bar_1.
     """
 
-    intervals: tuple[tuple[float, float], ...]
-    mu: tuple[float | None, ...]
-    q_exp: tuple[float, ...]
-    a: tuple[float, ...]
+    segs: tuple[_Segment, ...]
+    eps_bar_1: float
+    eps_bar: float
+    p0: float
+    mean_L: float
+
+    def departures_at(self, eps: float) -> float:
+        """Departure mass at eps: mean_L wherever defaults occur, else 0."""
+        active = eps < 1.0 and (eps > self.eps_bar_1 or self.p0 > 0.0)
+        return self.mean_L if active else 0.0
 
 
-def _beta(dyn: DynamicsParams) -> float:
-    return (2 * dyn.b_n - 1) * dyn.mean_N + (2 * dyn.b_s - 1) * dyn.mean_S
-
-
-def _segments(params: MarketParams, dyn: DynamicsParams, mean_L: float) -> list[_Segment]:
+def _flow_table(params: MarketParams, dyn: DynamicsParams, mean_L: float) -> _FlowTable:
     if dyn.mean_N <= 0:
         raise ParamError("mean_N: the population flow needs a positive arrival mean")
     th = thresholds(params, check=False)
-    beta = _beta(dyn)
-    k1 = beta * (1 - 2 * params.delta)
+    beta, k1 = drift_rates(params, dyn)
     e1, eb = th.eps_bar_1, th.eps_bar
     edges = [0.0] + sorted(e for e in {e1, eb} if 0.0 < e < 1.0) + [1.0]
     segs = []
@@ -86,28 +92,8 @@ def _segments(params: MarketParams, dyn: DynamicsParams, mean_L: float) -> list[
             raise DegenerateFlowError(
                 f"flow interval [{lo:g}, {hi:g}] has logistic midpoint mu = 0")
         segs.append(_Segment(lo, hi, kappa, e_dep, a))
-    return segs
-
-
-def piecewise_spec(params: MarketParams, dyn: DynamicsParams,
-                   departures: bool = True) -> PiecewiseSpec:
-    """Interval table of the closed form, split at interior midpoints."""
-    segs = _segments(params, dyn, dyn.mean_L if departures else 0.0)
-    intervals: list[tuple[float, float]] = []
-    mus: list[float | None] = []
-    qs: list[float] = []
-    a: list[float] = []
-    for s in segs:
-        mu = 1.0 + s.e_dep / s.kappa if s.kappa != 0.0 else None
-        pieces = [(s.lo, s.hi)]
-        if mu is not None and s.lo < mu < s.hi:
-            pieces = [(s.lo, mu), (mu, s.hi)]
-        for piece in pieces:
-            intervals.append(piece)
-            mus.append(mu)
-            qs.append((s.kappa + s.e_dep) / s.a)
-            a.append(s.a)
-    return PiecewiseSpec(tuple(intervals), tuple(mus), tuple(qs), tuple(a))
+    p0 = clearing_limit(params, 0.0).p_d if mean_L > 0 else 0.0
+    return _FlowTable(tuple(segs), e1, eb, p0, mean_L)
 
 
 def _psi_after(a: float, psi0: float, dt: float) -> float:
@@ -147,7 +133,7 @@ def _eps_after(seg: _Segment, eps0: float, psi0: float, dt: float) -> float:
     return mu * eps0 * h / den
 
 
-def _locate(segs: list[_Segment], eps: float) -> tuple[_Segment, float] | None:
+def _locate(segs: tuple[_Segment, ...], eps: float) -> tuple[_Segment, float] | None:
     """Segment owning an interior eps plus flow direction; None when pinned."""
     for s in segs:
         if s.lo < eps < s.hi:
@@ -180,11 +166,6 @@ def _cross_time(seg: _Segment, eps0: float, psi0: float, rem: float,
     return hi
 
 
-def _dep_active(eps: float, e1: float, p0: float) -> bool:
-    """Do defaults (hence departures) occur at this eps?"""
-    return eps < 1.0 and (eps > e1 or p0 > 0.0)
-
-
 _MAX_TRANSITIONS = 64
 
 
@@ -196,9 +177,7 @@ def _flow(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
         raise ParamError("psi0: population rate must be positive")
     if t < 0.0:
         raise ParamError("t: flow time cannot be negative")
-    segs = _segments(params, dyn, mean_L)
-    e1 = thresholds(params, check=False).eps_bar_1
-    p0 = clearing_limit(params, 0.0).p_d if mean_L > 0 else 0.0
+    table = _flow_table(params, dyn, mean_L)
 
     eps, psi, now = eps0, psi0, 0.0
     pinned = False
@@ -206,11 +185,10 @@ def _flow(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
     while now < t:
         rem = t - now
         if eps <= 0.0 or eps >= 1.0 or pinned:
-            dep = mean_L if _dep_active(eps, e1, p0) else 0.0
-            psi = _psi_after(dyn.mean_N - dep, psi, rem)
+            psi = _psi_after(dyn.mean_N - table.departures_at(eps), psi, rem)
             now = t
             break
-        located = _locate(segs, eps)
+        located = _locate(table.segs, eps)
         if located is None:
             pinned = True
             continue
@@ -248,19 +226,28 @@ def ode_solution_departures(params: MarketParams, dyn: DynamicsParams, eps0: flo
     return _flow(params, dyn, eps0, psi0, t, dyn.mean_L)
 
 
+def _clock_terms(n0: int, rounds: int) -> list[float]:
+    """Clock advance of rounds 1..rounds: round j adds 1/(j + n0)."""
+    return [1.0 / (j + n0) for j in range(1, rounds + 1)]
+
+
+def round_clock(n0: int, rounds: int) -> float:
+    """Flow time after `rounds` rounds of a run that started from n0 agents."""
+    return math.fsum(_clock_terms(n0, rounds))
+
+
 def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float,
                           l: int, k: int) -> float:
-    """Predicted risk-free fraction after l+k rounds, via the flow clock.
+    """Predicted risk-free fraction after rounds l+1..l+k, via the flow clock.
 
-    Round j advances the clock by 1/(j + n0 + l); the estimate is the
-    departure-free closed form evaluated at the accumulated time from a unit
-    population rate.
+    The estimate is the departure-free closed form from a unit population
+    rate, run for the clock time those k rounds add.
     """
     if l < 0:
         raise ParamError("l: negative round offset")
     if k < 0:
         raise ParamError("k: negative round count")
-    t_kl = math.fsum(1.0 / (j + dyn.n0 + l) for j in range(l + 1, l + k + 1))
+    t_kl = round_clock(dyn.n0, l + k) - round_clock(dyn.n0, l)
     return _flow(params, dyn, eps0, 1.0, t_kl, 0.0).eps
 
 
@@ -269,8 +256,9 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
     """Fixed-step RK4 integration of the flow, with threshold events located.
 
     Independent of the closed form: integrates the raw right-hand side and
-    only uses the analytic layer for the switching thresholds.  Records one
-    row per accepted step (plus one per event landing) with the clock in `t`.
+    only uses the analytic layer for the switching thresholds and drift
+    rates.  Records one row per accepted step (plus one per event landing)
+    with the clock in `t`.
     """
     if step <= 0.0:
         raise ParamError("step: must be positive")
@@ -278,19 +266,14 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
         raise ParamError(f"eps0: fraction {eps0!r} outside [0, 1]")
     if psi0 <= 0.0:
         raise ParamError("psi0: population rate must be positive")
-    th = thresholds(params, check=False)
-    e1, eb = th.eps_bar_1, th.eps_bar
-    beta = _beta(dyn)
-    k1 = beta * (1 - 2 * params.delta)
-    eL = dyn.mean_L
-    p0 = clearing_limit(params, 0.0).p_d if eL > 0 else 0.0
-    segs = _segments(params, dyn, eL)
+    beta, k1 = drift_rates(params, dyn)
+    table = _flow_table(params, dyn, dyn.mean_L)
 
     def rhs(eps: float, psi: float) -> tuple[float, float]:
         if psi <= 0.0:
             raise ParamError("step: population rate left (0, inf); reduce the step size")
-        kappa = k1 if eps < eb else beta
-        dep = eL if _dep_active(eps, e1, p0) else 0.0
+        kappa = k1 if eps < table.eps_bar else beta
+        dep = table.departures_at(eps)
         de = (kappa * eps * (1.0 - eps) + eps * dep) / psi
         return de, (dyn.mean_N - dep) - psi
 
@@ -302,15 +285,14 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
         return (eps + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4),
                 psi + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4))
 
-    event_edges = sorted(e for e in {e1, eb} if 0.0 < e < 1.0) + [1.0]
+    event_edges = [s.hi for s in table.segs]
     records = [RoundRecord(eps=eps0, psi=psi0, t=0.0)]
     eps, psi, now = eps0, psi0, 0.0
     frozen = eps <= 0.0 or eps >= 1.0
     while now < horizon - 1e-15:
         h = min(step, horizon - now)
         if frozen:
-            dep = eL if _dep_active(eps, e1, p0) else 0.0
-            psi = _psi_after(dyn.mean_N - dep, psi, h)
+            psi = _psi_after(dyn.mean_N - table.departures_at(eps), psi, h)
             now += h
             records.append(RoundRecord(eps=eps, psi=psi, t=now))
             continue
@@ -338,7 +320,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
         if target >= 1.0:
             frozen = True
         else:
-            decision = _locate(segs, target)
+            decision = _locate(table.segs, target)
             if decision is None:
                 frozen = True  # pinned at the threshold
             else:
@@ -365,19 +347,17 @@ class AttractorReport:
     conjecture: bool = False
 
 
-def _terminal(segs: list[_Segment], eps: float, dyn: DynamicsParams,
-              e1: float, p0: float, mean_L: float) -> tuple[float, float, bool]:
+def _terminal(table: _FlowTable, eps: float,
+              dyn: DynamicsParams) -> tuple[float, float, bool]:
     """(eps*, psi*, pinned) reached from eps under the sign flow."""
-    for _ in range(2 * len(segs) + 4):
+    for _ in range(2 * len(table.segs) + 4):
         if eps <= 0.0:
-            dep = mean_L if _dep_active(0.0, e1, p0) else 0.0
-            return 0.0, dyn.mean_N - dep, False
+            return 0.0, dyn.mean_N - table.departures_at(0.0), False
         if eps >= 1.0:
             return 1.0, dyn.mean_N, False
-        located = _locate(segs, eps)
+        located = _locate(table.segs, eps)
         if located is None:
-            dep = mean_L if _dep_active(eps, e1, p0) else 0.0
-            return eps, dyn.mean_N - dep, True
+            return eps, dyn.mean_N - table.departures_at(eps), True
         seg, direction = located
         if direction == 0.0:
             return eps, seg.a, False
@@ -387,17 +367,14 @@ def _terminal(segs: list[_Segment], eps: float, dyn: DynamicsParams,
 
 def classify_attractors(params: MarketParams, dyn: DynamicsParams) -> AttractorReport:
     """Partition eps0 into basins and name each basin's limit point."""
-    beta = _beta(dyn)
+    beta, kappa_below = drift_rates(params, dyn)
     if beta == 0.0:
         raise ParamError("beta: zero net drift admits no attractor classification")
     mean_L = dyn.mean_L
-    segs = _segments(params, dyn, mean_L)
-    th = thresholds(params, check=False)
-    e1 = th.eps_bar_1
-    p0 = clearing_limit(params, 0.0).p_d if mean_L > 0 else 0.0
+    table = _flow_table(params, dyn, mean_L)
 
-    cuts = {s.lo for s in segs if 0.0 < s.lo < 1.0}
-    for s in segs:
+    cuts = {s.lo for s in table.segs if 0.0 < s.lo < 1.0}
+    for s in table.segs:
         if s.kappa < 0.0:
             mu = 1.0 + s.e_dep / s.kappa
             if s.lo < mu < s.hi:  # interior balance point: a repeller
@@ -406,7 +383,7 @@ def classify_attractors(params: MarketParams, dyn: DynamicsParams) -> AttractorR
 
     merged: list[list] = []  # [lo, hi, (eps*, psi*, pinned)]
     for lo, hi in zip(bounds, bounds[1:]):
-        term = _terminal(segs, 0.5 * (lo + hi), dyn, e1, p0, mean_L)
+        term = _terminal(table, 0.5 * (lo + hi), dyn)
         if merged and abs(merged[-1][2][0] - term[0]) <= 1e-12 \
                 and abs(merged[-1][2][1] - term[1]) <= 1e-12:
             merged[-1][1] = hi
@@ -420,24 +397,18 @@ def classify_attractors(params: MarketParams, dyn: DynamicsParams) -> AttractorR
     for (lo, hi), (e_star, _, pinnedflag) in zip(doa, (m[2] for m in merged)):
         tag = f"mixed@{e_star:.6g}" if pinnedflag else f"eps*={e_star:g}"
         names.append(f"[{lo:.6g},{hi:.6g})->{tag}")
-    label = (f"beta={beta:g}, kappa_below={beta * (1 - 2 * params.delta):g}"
+    label = (f"beta={beta:g}, kappa_below={kappa_below:g}"
              f"{', departures' if mean_L > 0 else ''}; " + " ".join(names))
     return AttractorReport(attractors=attractors, doa=doa,
                            regime_label=label, conjecture=conjecture)
-
-
-def _phi(params: MarketParams, eps: float) -> tuple[float, float]:
-    """Expected returns (risk-free, risky) at fraction eps."""
-    lr = limit_returns(params, eps)
-    return lr.r1, params.delta * lr.r2_up + (1 - params.delta) * lr.r2_down
 
 
 def avg_dynamics(params: MarketParams, cbar: float, eps: float) -> float:
     """Drift of the fraction when agents compare noisy group-average returns.
 
     The comparison noise has variance 1/(cbar*eps) + 1/(cbar*(1-eps)), so the
-    probability of seeing the risk-free group ahead is the normal CDF of
-    (phi1 - phi2) * sqrt(cbar*eps*(1-eps)).
+    probability of seeing the risk-free group ahead is the normal CDF of the
+    mean return gap (`analytic.mean_return_gap`) times sqrt(cbar*eps*(1-eps)).
     """
     if cbar <= 0.0:
         raise ParamError("cbar: observation mass must be positive")
@@ -445,8 +416,7 @@ def avg_dynamics(params: MarketParams, cbar: float, eps: float) -> float:
         raise ParamError(f"eps: fraction {eps!r} outside [0, 1]")
     if eps in (0.0, 1.0):
         return 0.0
-    p1, p2 = _phi(params, eps)
-    z = (p1 - p2) * math.sqrt(cbar * eps * (1.0 - eps))
+    z = mean_return_gap(params, eps) * math.sqrt(cbar * eps * (1.0 - eps))
     g = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     return eps * (1.0 - eps) * (2.0 * g - 1.0)
 
@@ -474,7 +444,7 @@ def avg_limit(params: MarketParams) -> AvgLimit:
         closed = (params.r_b - r_bar) / (r_bar - params.r_s)
 
     grid = [i / 400.0 for i in range(1, 400)]
-    diff = [p1 - p2 for p1, p2 in (_phi(params, e) for e in grid)]
+    diff = [mean_return_gap(params, e) for e in grid]
     if all(x < 0 for x in diff):
         return AvgLimit(0.0, "all-risky", True, closed)
     if all(x > 0 for x in diff):
@@ -487,8 +457,7 @@ def avg_limit(params: MarketParams) -> AvgLimit:
         lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            d1, d2 = _phi(params, mid)
-            if d1 - d2 > 0:
+            if mean_return_gap(params, mid) > 0:
                 lo = mid
             else:
                 hi = mid

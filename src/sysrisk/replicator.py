@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import ReturnsVector, compute_returns, default_stats, solve_clearing
+from .clearing import compute_returns, default_stats, solve_clearing
 from .model import DynamicsParams, MarketParams, ParamError
 from .netgen import sample_network, sample_shocks
 from .records import RoundRecord, Trajectory
@@ -27,18 +27,15 @@ log = logging.getLogger(__name__)
 class PopulationState:
     """Population composition entering a round.
 
-    ``last_returns`` holds the returns realised in the most recent round the
-    population played (a warm-up round for a fresh state), ``ids1``/``ids2``
-    the persistent agent identities of the risk-free and risky groups, and
-    ``next_id`` the next unused identity.  ``psi`` is the population size
-    relative to the round clock, ``n / (round + n0)``.
+    ``ids1``/``ids2`` are the persistent agent identities of the risk-free
+    and risky groups, and ``next_id`` the next unused identity.  ``psi`` is
+    the population size relative to the round clock, ``n / (round + n0)``.
     """
 
     round: int
     n1: int
     n2: int
     psi: float
-    last_returns: ReturnsVector
     ids1: np.ndarray
     ids2: np.ndarray
     next_id: int
@@ -54,21 +51,18 @@ class PopulationState:
 
 def initial_state(params: MarketParams, dyn: DynamicsParams,
                   rng_stream: np.random.Generator) -> PopulationState:
-    """Build the round-0 population and play one warm-up clearing round.
+    """Build the round-0 population.
 
     The initial split puts ``round(eps0 * n0)`` agents in the risk-free group.
-    The warm-up round only populates ``last_returns``; it causes no switching,
-    arrivals, or departures.
     """
     n0 = dyn.n0
     n1 = int(round(dyn.eps0 * n0))
     n2 = n0 - n1
+    # unused warm-up draws: they keep the seeded stream, and so every export, unchanged
     graph = sample_network(params, n1, n2, rng_stream)
-    shocks = sample_shocks(params, n2, graph.eps, rng_stream)
-    res = solve_clearing(graph, shocks, params)
-    returns = compute_returns(graph, res, shocks, params)
+    sample_shocks(params, n2, graph.eps, rng_stream)
     ids = np.arange(n0, dtype=np.uint64)
-    return PopulationState(round=0, n1=n1, n2=n2, psi=1.0, last_returns=returns,
+    return PopulationState(round=0, n1=n1, n2=n2, psi=1.0,
                            ids1=ids[:n1], ids2=ids[n1:], next_id=n0)
 
 
@@ -216,8 +210,7 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
         mean_r2=float(returns.r2.mean()) if n2 else None,
     )
     new_state = PopulationState(round=state.round + 1, n1=new_n1, n2=new_n2, psi=psi,
-                                last_returns=returns, ids1=ids1, ids2=ids2,
-                                next_id=state.next_id + N_k)
+                                ids1=ids1, ids2=ids2, next_id=state.next_id + N_k)
     return new_state, record
 
 

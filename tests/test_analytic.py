@@ -8,8 +8,8 @@ import pytest
 from sysrisk import MarketParams
 from sysrisk.analytic import (
     DefaultRegime,
-    beta_kappa,
     clearing_limit,
+    drift_rates,
     limit_returns,
     q_eps,
     thresholds,
@@ -147,16 +147,14 @@ def test_q_switch(imitation_market):
 def test_beta_kappa(imitation_market, growth_market):
     gdyn = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.9, b_s=0.9,
                           n0=300, rounds=1000)
-    assert beta_kappa(growth_market, gdyn, 0.5) == pytest.approx((8.8, -6.16))
+    assert drift_rates(growth_market, gdyn) == pytest.approx((8.8, -6.16))
 
     idyn = DynamicsParams(mean_N=7.0, mean_S=6.0, b_n=0.8, b_s=0.8,
                           n0=500, rounds=4000)
-    below = beta_kappa(imitation_market, idyn, 0.3)
-    above = beta_kappa(imitation_market, idyn, 0.6)
-    assert below == pytest.approx((7.800000000000002, -4.6800000000000015))
-    assert above == pytest.approx((7.800000000000002, 7.800000000000002))
-    # the drift term flips sign exactly where q jumps
-    assert math.copysign(1, below[1]) != math.copysign(1, above[1])
+    beta, kappa_below = drift_rates(imitation_market, idyn)
+    assert (beta, kappa_below) == pytest.approx((7.800000000000002, -4.6800000000000015))
+    # the drift flips sign across eps_bar, where q jumps
+    assert math.copysign(1, kappa_below) != math.copysign(1, beta)
 
 
 def test_outside_theory_market():

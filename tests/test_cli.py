@@ -127,6 +127,15 @@ def test_bad_seed_lists_exit_2(tmp_path, capsys, seeds):
     assert "run.seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--every", "0"], ["--every", "-1"], ["--rounds", "-1"],
+                                   ["--rounds", "-1", "--method", "numeric"]])
+def test_bad_flow_ranges_exit_2(config_path, capsys, flags):
+    assert main(["ode", "--config", str(config_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_reproduce_figures_smoke(tmp_path, monkeypatch, capsys):
     # shrink the preset horizon through the seed override only; the run
     # stays the real one, so keep it to a single short figure seed

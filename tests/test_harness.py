@@ -43,6 +43,7 @@ from sysrisk.harness import (
     write_table_report,
     write_trajectories,
 )
+from sysrisk.odeflow import finite_round_estimate
 
 
 @pytest.fixture()
@@ -149,6 +150,23 @@ def test_round_clock_is_harmonic_sum():
     assert round_clock(300, 0) == 0.0
     expected = sum(1 / (j + 300) for j in range(1, 101))
     assert round_clock(300, 100) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("l", [0, 200, 1000])
+def test_round_walker_matches_flow_curve(l):
+    # both read rounds l+1..l+k off the same clock, whatever the offset l
+    config = table2_spec(n_seeds=1).rows[0].config
+    dyn, k = config.dynamics, 500
+    walker = finite_round_estimate(config.market, dyn, dyn.eps0, l, k)
+    curve = flow_curve(config, dyn.eps0, 1.0, l, l + k, every=k)
+    assert [rec.t > 0.0 for rec in curve.records] == [False, True]
+    assert walker == pytest.approx(curve.records[-1].eps, rel=1e-12)
+
+
+@pytest.mark.parametrize("first, last, every", [(0, 100, 0), (-1, 100, 10), (50, 40, 10)])
+def test_flow_curve_rejects_bad_ranges(mini_config, first, last, every):
+    with pytest.raises(ParamError):
+        flow_curve(mini_config, 0.5, 1.0, first, last, every=every)
 
 
 def test_theory_helpers(mini_config):

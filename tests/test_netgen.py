@@ -24,19 +24,17 @@ def test_complete_graph_weights(market):
     assert g.n == 8 and g.eps == 3 / 8
     # risk-free edge weight w (1 + r_b) / n
     assert g.w_g1 == pytest.approx(70 * 1.11 / 8)
-    # every borrower's obligations sum to its full liability y
-    idx, weights = g.lenders_of(0)
-    assert 3 not in idx.tolist()  # no self edge (borrower 0 sits at index 3)
-    assert float(weights.sum()) == pytest.approx(g.y, rel=1e-12)
+    # every borrower owes all n1 risk-free agents and its n2 - 1 risky peers,
+    # and those obligations sum to its full liability y
+    assert g.n1 * g.w_g1 + (g.n2 - 1) * g.w_g2 == pytest.approx(g.y, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n1=st.integers(0, 30), n2=st.integers(2, 30))
 def test_borrower_shares_sum_to_one(market, n1, n2):
     g = sample_network(market, n1, n2, np.random.default_rng(1))
-    for j in (0, n2 - 1):
-        _, weights = g.lenders_of(j)
-        assert float(weights.sum()) / g.y == pytest.approx(1.0, rel=1e-12)
+    shares = (g.n1 * g.w_g1 + (g.n2 - 1) * g.w_g2) / g.y
+    assert shares == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sparse_shares_concentrate(market):
@@ -54,10 +52,9 @@ def test_sparse_shares_concentrate(market):
 
 def test_single_borrower_has_no_peer_edges(market):
     g = sample_network(market, 4, 1, np.random.default_rng(2))
-    assert g.w_g2 == 0.0
-    idx, weights = g.lenders_of(0)
-    assert idx.tolist() == [0, 1, 2, 3]
-    assert_allclose(weights, np.full(4, g.w_g1))
+    assert g.indicator is None and g.w_g2 == 0.0
+    # the lone borrower owes only the four risk-free agents, each w (1 + r_b) / n
+    assert g.w_g1 == pytest.approx(70 * 1.11 / 5)
 
 
 def test_sampling_is_reproducible(market):

@@ -7,9 +7,10 @@ from dataclasses import replace
 import pytest
 
 from sysrisk import DynamicsParams, MarketParams, ParamError
-from sysrisk.analytic import beta_kappa
+from sysrisk.analytic import drift_rates
 from sysrisk.odeflow import (
     DegenerateFlowError,
+    _flow_table,
     avg_dynamics,
     avg_limit,
     classify_attractors,
@@ -17,7 +18,6 @@ from sysrisk.odeflow import (
     ode_numeric,
     ode_solution,
     ode_solution_departures,
-    piecewise_spec,
 )
 
 
@@ -143,20 +143,24 @@ def test_classifier_departures_move_the_split(imitation_market,
 
 
 def test_piecewise_intervals(imitation_market, imit_dep_dynamics):
-    spec = piecewise_spec(imitation_market, imit_dep_dynamics)
-    lows = [iv[0] for iv in spec.intervals]
-    highs = [iv[1] for iv in spec.intervals]
-    assert lows == pytest.approx([0.0, 0.261569416498994, 0.45975590208980066])
-    assert highs == pytest.approx([0.261569416498994, 0.45975590208980066, 1.0])
-    assert spec.mu == pytest.approx((1.0, -0.1965811965811961, 1.7179487179487176))
-    assert spec.q_exp == pytest.approx((-0.6685714285714288, 0.6571428571428557,
-                                        9.571428571428571))
-    assert spec.a == pytest.approx((7.0, 1.4000000000000004, 1.4000000000000004))
+    segs = _flow_table(imitation_market, imit_dep_dynamics, imit_dep_dynamics.mean_L).segs
+    assert [s.lo for s in segs] == pytest.approx([0.0, 0.261569416498994, 0.45975590208980066])
+    assert [s.hi for s in segs] == pytest.approx([0.261569416498994, 0.45975590208980066, 1.0])
+    # kappa switches from beta(1 - 2 delta) to beta at eps_bar
+    assert [s.kappa for s in segs] == pytest.approx([-4.68, -4.68, 7.8])
+    # logistic midpoints mu, exponents q and psi targets a; no mu lies inside
+    # its own interval, so the closed form needs no further split
+    mu = [1.0 + s.e_dep / s.kappa for s in segs]
+    assert mu == pytest.approx([1.0, -0.1965811965811961, 1.7179487179487176])
+    assert not any(s.lo < m < s.hi for s, m in zip(segs, mu))
+    assert [(s.kappa + s.e_dep) / s.a for s in segs] == pytest.approx(
+        [-0.6685714285714288, 0.6571428571428557, 9.571428571428571])
+    assert [s.a for s in segs] == pytest.approx([7.0, 1.4000000000000004, 1.4000000000000004])
 
 
 def test_degenerate_flow(imitation_market, imitation_dynamics):
     # departures exactly cancel the switching drift on the middle interval
-    _, kappa = beta_kappa(imitation_market, imitation_dynamics, 0.3)
+    _, kappa = drift_rates(imitation_market, imitation_dynamics)
     bad = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=-kappa,
                          b_n=0.8, b_s=0.8, n0=500, rounds=4000)
     with pytest.raises(DegenerateFlowError):
