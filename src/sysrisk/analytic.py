@@ -117,6 +117,12 @@ def mean_return_gap(params: MarketParams, eps: float) -> float:
     return lr.r1 - (params.delta * lr.r2_up + (1.0 - params.delta) * lr.r2_down)
 
 
+def return_gap_scan(params: MarketParams) -> tuple[list[float], list[float]]:
+    """The fractions i/400, i = 1..399, and `mean_return_gap` at each."""
+    grid = [i / 400.0 for i in range(1, 400)]
+    return grid, [mean_return_gap(params, e) for e in grid]
+
+
 def _q_core(params: MarketParams, eps: float, boundary_rules: bool) -> float:
     lr = _returns_core(params, eps, boundary_rules)
     return ((1 - params.delta) * (lr.r1 >= lr.r2_down)

@@ -10,7 +10,10 @@ fixed point.  On the complete graph all up-shocked agents stay interchangeable
 (likewise down-shocked), so there are two unknowns, solved exactly regime by
 regime (Eisenberg & Noe 2001), as is the same two-class problem of the
 large-network limit in `analytic`.  Sampled graphs iterate the map from full
-payment, one matrix product per sweep, until no payment moves.
+payment until no payment moves by more than 1e-10 * y; as only risky agents
+owe, each sweep multiplies by the risky-to-risky block alone, and risk-free
+claims are formed once from the final payments.  A borrower defaults when it
+pays less than y * (1 - 1e-9) (`_defaulted`).
 """
 from __future__ import annotations
 
@@ -24,8 +27,9 @@ from .model import MarketParams, SolverError
 from .netgen import LiabilityGraph, ShockVector
 
 _SLACK = 1e-12         # residual tolerance relative to y; also the singular-system cutoff
-_SPARSE_TOL = 1e-9     # sparse sweeps stop once no payment moves more, relative to y
+_SPARSE_TOL = 1e-10    # sparse sweeps stop once no payment moves more, relative to y
 _SPARSE_CAP = 100_000  # sparse sweeps allowed before giving up
+_DEFAULT_TOL = 1e-9    # a borrower paying short of y by more than this share defaults
 
 
 @dataclass(frozen=True)
@@ -104,37 +108,42 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
         claims[:n1] = graph.w_g1 / y * total
         claims[n1:] = sig2 * (total - X)
     else:
-        weight_row = np.where(np.arange(n) < n1, graph.w_g1, graph.w_g2)
-        B = graph.indicator * (weight_row / y)  # B[j, i]: share j pays to i
+        # B[j, i]: the share of borrower j's payment that risky agent i receives
+        B = graph.indicator[:, n1:] * (graph.w_g2 / y)
         X = np.full(n2, y)
         for iterations in range(1, _SPARSE_CAP + 1):
-            new = np.clip(shocks.k + (X @ B)[n1:] - v, 0.0, y)
+            owed_in = X @ B
+            new = np.clip(shocks.k + owed_in - v, 0.0, y)
             if np.abs(new - X).max() <= _SPARSE_TOL * y:
                 break  # keep X: its residual is the one just measured
             X = new
         else:
             raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} sweeps")
-        claims = X @ B
+        del B  # the product below casts its own float block; holding both raises peak memory
+        claims = np.concatenate([graph.w_g1 / y * (X @ graph.indicator[:, :n1]), owed_in])
 
     return ClearingResult(X=X, iterations=iterations, claims=claims)
 
 
+def _defaulted(X: np.ndarray, y: float) -> np.ndarray:
+    return X < y * (1.0 - _DEFAULT_TOL)
+
+
 def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,
-                    shocks: ShockVector, params: MarketParams,
-                    tol: float = 1e-9) -> ReturnsVector:
+                    shocks: ShockVector, params: MarketParams) -> ReturnsVector:
     """Per-agent surpluses after clearing, clamped at limited liability."""
     n1 = graph.n1
     r1 = np.maximum(params.w * graph.eps * (1 + params.r_s)
                     + clearing.claims[:n1] - params.v, 0.0)
     r2 = np.maximum(shocks.k + clearing.claims[n1:] - params.v - graph.y, 0.0)
-    defaults = np.flatnonzero(clearing.X < graph.y * (1.0 - tol))
+    defaults = np.flatnonzero(_defaulted(clearing.X, graph.y))
     return ReturnsVector(r1=r1, r2=r2, defaults=defaults)
 
 
-def default_stats(clearing: ClearingResult, y: float, tol: float = 1e-9) -> DefaultStats:
+def default_stats(clearing: ClearingResult, y: float) -> DefaultStats:
     """Count and fraction of borrowers paying short, per risky agent."""
     n2 = len(clearing.X)
     if n2 == 0:
         return DefaultStats(count=0, fraction=0.0, degenerate=True)
-    count = int((clearing.X < y * (1.0 - tol)).sum())
+    count = int(_defaulted(clearing.X, y).sum())
     return DefaultStats(count=count, fraction=count / n2)

@@ -5,14 +5,16 @@ playing any other fraction earns strictly less, in the appropriate utility,
 inside the post-invasion mixture.  Two utilities are supported: the
 switch-count utility of the sampling dynamics (driven by the win probability
 q of the risk-free return) and the mean-return utility of the averaging
-dynamics.
+dynamics.  Both single-mutant checks run one verdict loop, each with its own
+advantage function, and `_switch_gap` is the one switch utility gap formula.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .analytic import drift_rates, mean_return_gap, q_eps
+from .analytic import drift_rates, mean_return_gap, q_eps, return_gap_scan
 from .model import DynamicsParams, MarketParams, ParamError
 
 
@@ -54,6 +56,11 @@ def _default_mutants(candidate: float, step: float = 0.01) -> tuple[float, ...]:
     return tuple(i * step for i in range(k + 1) if abs(i * step - candidate) > 1e-9)
 
 
+def _switch_gap(params: MarketParams, dyn: DynamicsParams,
+                eps_mut: float, eps_cand: float, eps_x: float) -> float:
+    return (eps_mut - eps_cand) * (2.0 * q_eps(params, eps_x) - 1.0) * (2.0 * dyn.b_s - 1.0)
+
+
 def switch_utility_gap(params: MarketParams, dyn: DynamicsParams,
                        eps_mut: float, eps_cand: float, x: float) -> float:
     """Mutant-minus-incumbent switch utility in the invaded mixture.
@@ -66,8 +73,7 @@ def switch_utility_gap(params: MarketParams, dyn: DynamicsParams,
         raise ParamError("x: mutant share must lie strictly inside (0, 1)")
     if not (0.0 <= eps_mut <= 1.0 and 0.0 <= eps_cand <= 1.0):
         raise ParamError("eps: strategy fractions must lie in [0, 1]")
-    eps_x = x * eps_mut + (1.0 - x) * eps_cand
-    return (eps_mut - eps_cand) * (2.0 * q_eps(params, eps_x) - 1.0) * (2.0 * dyn.b_s - 1.0)
+    return _switch_gap(params, dyn, eps_mut, eps_cand, x * eps_mut + (1.0 - x) * eps_cand)
 
 
 def _beta_sign_gate(params: MarketParams, dyn: DynamicsParams) -> bool:
@@ -76,14 +82,16 @@ def _beta_sign_gate(params: MarketParams, dyn: DynamicsParams) -> bool:
     return beta * bs > 0.0 or (beta == 0.0 and bs == 0.0)
 
 
-def check_mixed_ess(params: MarketParams, dyn: DynamicsParams, candidate: float,
-                    mutant_grid: tuple[float, ...] | None = None,
-                    x_grid: tuple[float, ...] | None = None) -> EssVerdict:
-    """Is `candidate` stable against every single mutant on the grid?
+def _single_mutant_verdict(candidate: float, mutant_grid: tuple[float, ...] | None,
+                           x_grid: tuple[float, ...] | None,
+                           advantage: Callable[[float, float], float],
+                           ) -> tuple[bool, float, float | None]:
+    """Run `advantage(mutant, x)` over the grids: (is_ess, margin, x_bar_used).
 
     For each mutant the check looks for a share threshold x_bar in `x_grid`
-    below which the mutant strictly underperforms; the verdict is positive
-    only if every mutant has one.
+    below which the incumbent's advantage stays strictly positive; the verdict
+    is positive only if every mutant has one, and x_bar_used is then the
+    smallest of them.
     """
     if not 0.0 <= candidate <= 1.0:
         raise ParamError("candidate: must lie in [0, 1]")
@@ -96,7 +104,7 @@ def check_mixed_ess(params: MarketParams, dyn: DynamicsParams, candidate: float,
     best_uniform_x: float | None = None
     ok = True
     for mut in mutants:
-        adv = [-switch_utility_gap(params, dyn, mut, candidate, x) for x in xs]
+        adv = [advantage(mut, x) for x in xs]
         prefix = 0
         while prefix < len(xs) and adv[prefix] > 0.0:
             prefix += 1
@@ -106,11 +114,23 @@ def check_mixed_ess(params: MarketParams, dyn: DynamicsParams, candidate: float,
             best_uniform_x = None
             continue
         worst = min(worst, min(adv[:prefix]))
-        x_bar = xs[prefix - 1]
         if ok:
+            x_bar = xs[prefix - 1]
             best_uniform_x = x_bar if best_uniform_x is None else min(best_uniform_x, x_bar)
-    return EssVerdict(candidate=candidate, is_ess=ok, margin=worst,
-                      x_bar_used=best_uniform_x if ok else None,
+    return ok, worst, best_uniform_x
+
+
+def check_mixed_ess(params: MarketParams, dyn: DynamicsParams, candidate: float,
+                    mutant_grid: tuple[float, ...] | None = None,
+                    x_grid: tuple[float, ...] | None = None) -> EssVerdict:
+    """Is `candidate` stable against every single mutant on the grid?
+
+    The incumbent's advantage over a mutant is minus its switch utility gap.
+    """
+    ok, worst, x_bar = _single_mutant_verdict(
+        candidate, mutant_grid, x_grid,
+        lambda mut, x: -switch_utility_gap(params, dyn, mut, candidate, x))
+    return EssVerdict(candidate=candidate, is_ess=ok, margin=worst, x_bar_used=x_bar,
                       mode=EssMode.SWITCH_UTILITY,
                       predominant_switching=_beta_sign_gate(params, dyn))
 
@@ -145,9 +165,8 @@ def check_multi_mutation(params: MarketParams, dyn: DynamicsParams, candidate: f
             raise ParamError("profile: total mutant share must lie in (0, 1)")
         max_share = max(max_share, total)
         eps_x = sum(e * x for e, x in profile) + (1.0 - total) * candidate
-        weight = (2.0 * q_eps(params, eps_x) - 1.0) * (2.0 * dyn.b_s - 1.0)
         for eps_i, _ in profile:
-            margin_i = (candidate - eps_i) * weight
+            margin_i = -_switch_gap(params, dyn, eps_i, candidate, eps_x)
             worst = min(worst, margin_i)
             if margin_i <= 0.0:
                 ok = False
@@ -168,42 +187,13 @@ def check_avg_ess(params: MarketParams, candidate: float, cbar: float = 1.0,
     """
     if cbar <= 0.0:
         raise ParamError("cbar: noise scale must be positive")
-    if not 0.0 <= candidate <= 1.0:
-        raise ParamError("candidate: must lie in [0, 1]")
-    mutants = _default_mutants(candidate) if mutant_grid is None else tuple(mutant_grid)
-    xs = _X_GRID if x_grid is None else tuple(sorted(x_grid))
-    if not mutants or not xs:
-        raise ParamError("grids: need at least one mutant and one share")
-
+    ok, worst, x_bar = _single_mutant_verdict(
+        candidate, mutant_grid, x_grid,
+        lambda mut, x: (candidate - mut) * mean_return_gap(params, x * mut + (1.0 - x) * candidate))
     # flag parameter sets where the return gap is not single-crossing
-    signs = []
-    for i in range(1, 400):
-        g = mean_return_gap(params, i / 400.0)
-        if g != 0.0:
-            signs.append(g > 0.0)
+    _, gaps = return_gap_scan(params)
+    signs = [g > 0.0 for g in gaps if g != 0.0]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    worst = float("inf")
-    best_uniform_x: float | None = None
-    ok = True
-    for mut in mutants:
-        adv = []
-        for x in xs:
-            eps_x = x * mut + (1.0 - x) * candidate
-            adv.append((candidate - mut) * mean_return_gap(params, eps_x))
-        prefix = 0
-        while prefix < len(xs) and adv[prefix] > 0.0:
-            prefix += 1
-        if prefix == 0:
-            ok = False
-            worst = min(worst, adv[0])
-            best_uniform_x = None
-            continue
-        worst = min(worst, min(adv[:prefix]))
-        if ok:
-            x_bar = xs[prefix - 1]
-            best_uniform_x = x_bar if best_uniform_x is None else min(best_uniform_x, x_bar)
-    return EssVerdict(candidate=candidate, is_ess=ok, margin=worst,
-                      x_bar_used=best_uniform_x if ok else None,
+    return EssVerdict(candidate=candidate, is_ess=ok, margin=worst, x_bar_used=x_bar,
                       mode=EssMode.AVG_RETURN,
                       multiple_sign_changes=flips > 1)

@@ -47,7 +47,6 @@ class ExperimentConfig:
     fixed_links: bool = False
     deterministic_counts: bool = False
     seeds: tuple[int, ...] = (0,)
-    out_dir: str | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -62,7 +61,7 @@ _MARKET_TYPES = typing.get_type_hints(MarketParams)
 _DYN_TYPES = typing.get_type_hints(DynamicsParams)
 _RUN_TYPES: dict[str, object] = {"departures": bool, "fixed_links": bool,
                                  "deterministic_counts": bool, "label": str,
-                                 "out_dir": str, "seeds": "seeds"}
+                                 "seeds": "seeds"}
 
 
 def _coerce(key: str, raw: str, tp: object) -> object:
@@ -115,8 +114,6 @@ def config_to_flat(config: ExperimentConfig) -> dict[str, str]:
         flat[f"dynamics.{name}"] = _render(value)
     for name in ("departures", "fixed_links", "deterministic_counts", "seeds", "label"):
         flat[f"run.{name}"] = _render(getattr(config, name))
-    if config.out_dir is not None:
-        flat["run.out_dir"] = config.out_dir
     return flat
 
 

@@ -109,16 +109,20 @@ def derive(params: MarketParams, eps: float) -> DerivedQuantities:
                              expW=expW, a1=a1, a2=a2)
 
 
+def count_bound(mean: float) -> int:
+    """Almost-sure bound of the binomial count family with this mean: 2*ceil(mean)."""
+    return 2 * math.ceil(mean)
+
+
 @dataclass(frozen=True)
 class DynamicsParams:
     """Evolution parameters: arrival/switch/departure counts and accuracies.
 
     mean_N / mean_S / mean_L are the per-round means of arrivals, switch
-    attempts and the departure cap.  bound_N / bound_L are almost-sure bounds;
-    when omitted they default to the bound of the binomial count family,
-    2*ceil(mean).  b_n / b_s are the probabilities of observing a return
-    comparison correctly.  n0 is the starting population, eps0 the starting
-    risk-free fraction and rounds the horizon.
+    attempts and the departure cap.  bound_N / bound_L are almost-sure bounds,
+    by default `count_bound(mean)`.  b_n / b_s are the probabilities of
+    observing a return comparison correctly.  n0 is the starting population,
+    eps0 the starting risk-free fraction and rounds the horizon.
     """
 
     mean_N: float
@@ -137,9 +141,9 @@ class DynamicsParams:
         _require(self.mean_S >= 0, "mean_S", "switch-attempt mean cannot be negative")
         _require(self.mean_L >= 0, "mean_L", "departure-cap mean cannot be negative")
         if self.bound_N is None:
-            object.__setattr__(self, "bound_N", 2 * math.ceil(self.mean_N))
+            object.__setattr__(self, "bound_N", count_bound(self.mean_N))
         if self.bound_L is None:
-            object.__setattr__(self, "bound_L", 2 * math.ceil(self.mean_L))
+            object.__setattr__(self, "bound_L", count_bound(self.mean_L))
         _require(self.mean_N <= self.bound_N, "bound_N",
                  "almost-sure bound below the mean")
         _require(self.mean_L <= self.bound_L, "bound_L",

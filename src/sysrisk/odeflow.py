@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import clearing_limit, drift_rates, mean_return_gap, thresholds
+from .analytic import (clearing_limit, drift_rates, mean_return_gap, return_gap_scan,
+                       thresholds)
 from .model import DynamicsParams, MarketParams, ParamError
 from .records import RoundRecord, Trajectory
 
@@ -443,8 +444,7 @@ def avg_limit(params: MarketParams) -> AvgLimit:
     if r_bar > params.r_s:
         closed = (params.r_b - r_bar) / (r_bar - params.r_s)
 
-    grid = [i / 400.0 for i in range(1, 400)]
-    diff = [mean_return_gap(params, e) for e in grid]
+    grid, diff = return_gap_scan(params)
     if all(x < 0 for x in diff):
         return AvgLimit(0.0, "all-risky", True, closed)
     if all(x > 0 for x in diff):

@@ -6,17 +6,20 @@ incumbents imitate better-returning peers (switching), defaulted risky agents
 may leave (departures), and newcomers adopt the strategy of better-returning
 incumbents (arrivals).  All draws come from a single ``numpy`` Generator in a
 fixed order, so a run is fully determined by its seed.
+
+Switching and arrivals share one imitation rule (`_imitate`): a risk-free and a
+risky agent's returns are compared, ties go to the risk-free side, and an
+observation error (probability 1 - b_s, or 1 - b_n for entrants) flips it.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import compute_returns, default_stats, solve_clearing
-from .model import DynamicsParams, MarketParams, ParamError
+from .clearing import compute_returns, solve_clearing
+from .model import DynamicsParams, MarketParams, ParamError, count_bound
 from .netgen import sample_network, sample_shocks
 from .records import RoundRecord, Trajectory
 
@@ -82,6 +85,19 @@ def _pick_other(rng_stream: np.random.Generator, n: int, me: np.ndarray) -> np.n
     return raw + (raw >= me)
 
 
+def _imitate(r: np.ndarray, n1: int, i: np.ndarray, j: np.ndarray,
+             flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The imitation comparison for the agent pairs (i[k], j[k]).
+
+    Returns whether each pair is mixed (one risk-free agent, one risky) and
+    whether the risk-free side is seen ahead: its return is at least the risky
+    one (ties favour risk-free), inverted where the observation flips.
+    """
+    i_risky = i >= n1
+    safe, risky = np.where(i_risky, j, i), np.where(i_risky, i, j)
+    return i_risky != (j >= n1), (r[safe] >= r[risky]) != flips
+
+
 def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
                rng_stream: np.random.Generator, *, departures: bool = True,
                deterministic_counts: bool = False, fixed_links: bool = False,
@@ -102,7 +118,7 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
         raise ParamError("population: need at least two agents per round")
 
     N_k = _draw_count(rng_stream, dyn.mean_N, dyn.bound_N, deterministic_counts)
-    S_k = _draw_count(rng_stream, dyn.mean_S, 2 * math.ceil(dyn.mean_S), deterministic_counts)
+    S_k = _draw_count(rng_stream, dyn.mean_S, count_bound(dyn.mean_S), deterministic_counts)
     L_k = 0
     if departures and dyn.mean_L > 0.0:
         L_k = _draw_count(rng_stream, dyn.mean_L, dyn.bound_L, deterministic_counts)
@@ -116,33 +132,23 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
     shocks = sample_shocks(params, n2, graph.eps, rng_stream)
     res = solve_clearing(graph, shocks, params)
     returns = compute_returns(graph, res, shocks, params)
-    stats = default_stats(res, graph.y)
 
     r_all = np.concatenate([returns.r1, returns.r2])
 
-    # -- switching: S_eff agents compare against one uniform other agent.
+    # -- switching: S_eff agents compare against one uniform other agent and
+    # move when the other side is seen ahead.
     S_eff = min(S_k, n)
-    Xi1 = Xi2 = 0
-    to_g1_local: list[int] = []      # positions in ids2 switching to risk-free
-    to_g2_local: list[int] = []      # positions in ids1 switching to risky
+    to_g1_local = to_g2_local = np.empty(0, dtype=np.intp)  # positions in ids2 / ids1
     if S_eff > 0:
         attempters = rng_stream.choice(n, size=S_eff, replace=False)
         contacts = _pick_other(rng_stream, n, attempters)
         flips = rng_stream.random(S_eff) >= dyn.b_s
-        for a, c, flip in zip(attempters.tolist(), contacts.tolist(), flips.tolist()):
-            a_risky = a >= n1
-            if a_risky == (c >= n1):
-                continue
-            if a_risky:
-                looks_better = r_all[c] >= r_all[a]   # ties favour risk-free
-                if looks_better != flip:
-                    to_g1_local.append(a - n1)
-                    Xi1 += 1
-            else:
-                looks_better = r_all[c] > r_all[a]
-                if looks_better != flip:
-                    to_g2_local.append(a)
-                    Xi2 += 1
+        mixed, safe_ahead = _imitate(r_all, n1, attempters, contacts, flips)
+        # switchers stay in draw order, which fixes every agent's position next round
+        switchers = attempters[mixed & (safe_ahead == (attempters >= n1))]
+        to_g1_local = switchers[switchers >= n1] - n1
+        to_g2_local = switchers[switchers < n1]
+    Xi1, Xi2 = to_g1_local.size, to_g2_local.size
 
     # -- departures: defaulted risky agents that did not just switch away.
     D = 0
@@ -160,24 +166,16 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
         if D > 0:
             departed = rng_stream.choice(candidates, size=D, replace=False)
 
-    # -- arrivals: each entrant asks two distinct incumbents from this round.
-    xi = 0
+    # -- arrivals: each entrant asks two distinct incumbents from this round;
+    # a mixed pair is compared, otherwise the entrant takes the first one's group.
     joins_g1 = np.empty(0, dtype=bool)
     if N_k > 0:
         first = rng_stream.integers(0, n, size=N_k)
         second = _pick_other(rng_stream, n, first)
         a_flips = rng_stream.random(N_k) >= dyn.b_n
-        joins_g1 = np.empty(N_k, dtype=bool)
-        for i in range(N_k):
-            f, s = int(first[i]), int(second[i])
-            f_risky, s_risky = f >= n1, s >= n1
-            if f_risky == s_risky:
-                joins_g1[i] = not f_risky
-            else:
-                safe, risky = (s, f) if f_risky else (f, s)
-                looks_better = r_all[safe] >= r_all[risky]   # ties favour risk-free
-                joins_g1[i] = looks_better != a_flips[i]
-        xi = int(joins_g1.sum())
+        mixed, safe_ahead = _imitate(r_all, n1, first, second, a_flips)
+        joins_g1 = np.where(mixed, safe_ahead, first < n1)
+    xi = int(joins_g1.sum())
 
     # -- exact composition update.
     new_n1 = n1 + xi + Xi1 - Xi2
@@ -192,12 +190,8 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
     keep2[to_g1_local] = False
     keep2[departed] = False
     fresh = np.arange(state.next_id, state.next_id + N_k, dtype=np.uint64)
-    ids1 = np.concatenate([state.ids1[keep1],
-                           state.ids2[np.asarray(to_g1_local, dtype=np.intp)],
-                           fresh[joins_g1]])
-    ids2 = np.concatenate([state.ids2[keep2],
-                           state.ids1[np.asarray(to_g2_local, dtype=np.intp)],
-                           fresh[~joins_g1]])
+    ids1 = np.concatenate([state.ids1[keep1], state.ids2[to_g1_local], fresh[joins_g1]])
+    ids2 = np.concatenate([state.ids2[keep2], state.ids1[to_g2_local], fresh[~joins_g1]])
     if ids1.size != new_n1 or ids2.size != new_n2:
         raise RuntimeError(f"round {state.round}: {ids1.size}, {ids2.size} ids for "
                            f"group sizes {new_n1}, {new_n2}")
@@ -205,7 +199,7 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
     psi = new_n / (state.round + 1 + dyn.n0)
     record = RoundRecord(
         eps=state.eps, psi=state.psi, round=state.round, n=n, n1=n1,
-        default_frac=stats.count / n, xi=xi, Xi1=Xi1, Xi2=Xi2, departures=D,
+        default_frac=returns.defaults.size / n, xi=xi, Xi1=Xi1, Xi2=Xi2, departures=D,
         mean_r1=float(returns.r1.mean()) if n1 else None,
         mean_r2=float(returns.r2.mean()) if n2 else None,
     )
@@ -217,26 +211,22 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
 def run_simulation(config, seed: int) -> Trajectory:
     """Run ``config.dynamics.rounds`` rounds and return the trajectory.
 
-    ``config`` is duck-typed: it must expose ``market`` and ``dynamics``, and
-    may expose the run flags ``departures`` (default True), ``fixed_links``
-    and ``deterministic_counts`` (default False) and a ``label``.  The seed
-    fixes both the Generator stream and, under fixed links, the link key.
+    ``config`` is duck-typed, like `harness.ExperimentConfig`: it must expose
+    ``market``, ``dynamics``, the run flags ``departures``, ``fixed_links``
+    and ``deterministic_counts``, and a ``label``.  The seed fixes both the
+    Generator stream and, under fixed links, the link key.
     """
     params: MarketParams = config.market
     dyn: DynamicsParams = config.dynamics
-    departures = bool(getattr(config, "departures", True))
-    fixed_links = bool(getattr(config, "fixed_links", False))
-    deterministic = bool(getattr(config, "deterministic_counts", False))
     rng = np.random.default_rng(seed)
     state = initial_state(params, dyn, rng)
     records: list[RoundRecord] = []
     for _ in range(dyn.rounds):
-        state, rec = step_round(state, params, dyn, rng, departures=departures,
-                                deterministic_counts=deterministic,
-                                fixed_links=fixed_links, link_key=seed)
+        state, rec = step_round(state, params, dyn, rng, departures=config.departures,
+                                deterministic_counts=config.deterministic_counts,
+                                fixed_links=config.fixed_links, link_key=seed)
         records.append(rec)
-    return Trajectory(records=records, seed=seed, kind="mc",
-                      label=str(getattr(config, "label", "")))
+    return Trajectory(records=records, seed=seed, kind="mc", label=config.label)
 
 
 def estimate_limit(trajectory: Trajectory, tail_window: int | None = None) -> float:

@@ -89,8 +89,8 @@ def test_indicator_path_matches_two_scalar(zero_v_market):
 
     a = solve_clearing(dense, s, zero_v_market)
     b = solve_clearing(collapsed, s, zero_v_market)
-    # the sampled-graph sweeps stop once no payment moves by more than 1e-9 * y
-    assert _residual(dense, s, zero_v_market, a.X) <= 1e-9
+    # the sampled-graph sweeps stop once no payment moves by more than 1e-10 * y
+    assert _residual(dense, s, zero_v_market, a.X) <= 2e-10
     assert _residual(collapsed, s, zero_v_market, b.X) <= 1e-12
     assert_allclose(a.X, b.X, rtol=1e-9)
     assert_allclose(a.claims, b.claims, rtol=1e-9)

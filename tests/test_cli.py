@@ -127,6 +127,16 @@ def test_bad_seed_lists_exit_2(tmp_path, capsys, seeds):
     assert "run.seeds" in capsys.readouterr().err
 
 
+def test_unknown_run_option_exits_2(tmp_path, config_path, capsys):
+    # run outputs go to --out; a config naming an output directory is refused, not ignored
+    bad = tmp_path / "out_dir.txt"
+    bad.write_text(config_path.read_text() + "run.out_dir = results\n")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: run.out_dir: unknown run option\n"
+
+
 @pytest.mark.parametrize("flags", [["--every", "0"], ["--every", "-1"], ["--rounds", "-1"],
                                    ["--rounds", "-1", "--method", "numeric"]])
 def test_bad_flow_ranges_exit_2(config_path, capsys, flags):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, ParamError, RoundRecord, Trajectory
 from sysrisk.replicator import (
+    _imitate,
     estimate_limit,
     initial_state,
     run_simulation,
@@ -148,3 +149,56 @@ def test_estimate_limit_tail_mean():
         estimate_limit(traj, tail_window=41)
     with pytest.raises(ParamError):
         estimate_limit(traj, tail_window=0)
+
+
+def _reference_switches(r, n1, attempters, contacts, flips):
+    """Per-pair switching rule: (positions in ids2 to risk-free, positions in ids1 to risky)."""
+    to_g1, to_g2 = [], []
+    for a, c, flip in zip(attempters, contacts, flips):
+        a_risky = a >= n1
+        if a_risky == (c >= n1):
+            continue
+        if a_risky:
+            if (r[c] >= r[a]) != flip:   # ties favour risk-free
+                to_g1.append(a - n1)
+        elif (r[c] > r[a]) != flip:
+            to_g2.append(a)
+    return to_g1, to_g2
+
+
+def _reference_joins(r, n1, first, second, flips):
+    """Per-pair arrival rule: does each entrant join the risk-free group?"""
+    joins = []
+    for f, s, flip in zip(first, second, flips):
+        f_risky = f >= n1
+        if f_risky == (s >= n1):
+            joins.append(not f_risky)
+        else:
+            safe, risky = (s, f) if f_risky else (f, s)
+            joins.append((r[safe] >= r[risky]) != flip)   # ties favour risk-free
+    return joins
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_imitation_rule_matches_per_pair_reference(data):
+    n1 = data.draw(st.integers(0, 6), label="n1")
+    n2 = data.draw(st.integers(0 if n1 >= 2 else 2 - n1, 6), label="n2")
+    n = n1 + n2
+    # few distinct values, so that tied returns are common
+    r = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n, max_size=n)))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)),
+                               min_size=1, max_size=12))
+    i = np.array([a for a, _ in pairs])
+    j = np.array([b + (b >= a) for a, b in pairs])   # a distinct partner, as drawn in a round
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=i.size, max_size=i.size)))
+
+    mixed, safe_ahead = _imitate(r, n1, i, j, flips)
+    # switching: attempter i moves when the pair is mixed and the other side is seen ahead
+    switchers = i[mixed & (safe_ahead == (i >= n1))]
+    ref_g1, ref_g2 = _reference_switches(r, n1, i.tolist(), j.tolist(), flips.tolist())
+    assert (switchers[switchers >= n1] - n1).tolist() == ref_g1
+    assert switchers[switchers < n1].tolist() == ref_g2
+    # arrivals: a mixed pair is compared, otherwise the entrant follows i's group
+    joins = np.where(mixed, safe_ahead, i < n1)
+    assert joins.tolist() == _reference_joins(r, n1, i.tolist(), j.tolist(), flips.tolist())
