@@ -59,7 +59,6 @@ from .odeflow import (
     AvgLimit,
     DegenerateFlowError,
     OdeState,
-    avg_dynamics,
     avg_limit,
     classify_attractors,
     finite_round_estimate,

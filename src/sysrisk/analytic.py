@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from .clearing import two_class_clearing
-from .model import DynamicsParams, MarketParams, SolverError, derive
+from .model import DerivedQuantities, DynamicsParams, MarketParams, SolverError, derive
 
 
 class DefaultRegime(enum.Enum):
@@ -58,11 +58,8 @@ class Thresholds:
     outside_theory: bool = False
 
 
-def _limit_core(params: MarketParams, eps: float, boundary_rules: bool) -> ClearingLimit:
-    der = derive(params, eps)
-    if boundary_rules and eps == 1.0:
-        return ClearingLimit(x_bar=der.y, p_d=0.0, regime=DefaultRegime.NO_DEFAULT,
-                             degenerate=True)
+def _interior_limit(params: MarketParams, der: DerivedQuantities) -> ClearingLimit:
+    """The limit formulas at der.eps, applied at eps = 1 too (bisections need that)."""
     c, delta = der.c_eps, params.delta
     if der.w_low >= 0:  # down-move proceeds cover senior debt: closed forms hold
         if c >= der.a1:
@@ -87,15 +84,17 @@ def _limit_core(params: MarketParams, eps: float, boundary_rules: bool) -> Clear
 
 def clearing_limit(params: MarketParams, eps: float) -> ClearingLimit:
     """Limiting clearing value, default probability and regime at fraction eps."""
-    return _limit_core(params, eps, boundary_rules=True)
-
-
-def _returns_core(params: MarketParams, eps: float, boundary_rules: bool) -> LimitReturns:
     der = derive(params, eps)
-    if boundary_rules and eps == 1.0:
-        return LimitReturns(max(params.w * (1 + params.r_s) - params.v, 0.0), 0.0, 0.0)
-    cl = _limit_core(params, eps, boundary_rules)
-    x = cl.x_bar
+    if eps == 1.0:
+        return ClearingLimit(x_bar=der.y, p_d=0.0, regime=DefaultRegime.NO_DEFAULT,
+                             degenerate=True)
+    return _interior_limit(params, der)
+
+
+def _interior_returns(params: MarketParams, der: DerivedQuantities) -> LimitReturns:
+    """The return formulas at der.eps, applied at eps = 1 too (bisections need that)."""
+    x = _interior_limit(params, der).x_bar
+    eps = der.eps
     claims_1 = (1 - params.alpha) * (1 - eps) / (params.alpha + eps) * x
     r1 = max(params.w * eps * (1 + params.r_s) + claims_1 - params.v, 0.0)
     r2_up = max(der.k_u + der.c_eps * x - params.v - der.y, 0.0)
@@ -105,7 +104,10 @@ def _returns_core(params: MarketParams, eps: float, boundary_rules: bool) -> Lim
 
 def limit_returns(params: MarketParams, eps: float) -> LimitReturns:
     """Limiting returns per group; risky returns are split by shock outcome."""
-    return _returns_core(params, eps, boundary_rules=True)
+    der = derive(params, eps)
+    if eps == 1.0:
+        return LimitReturns(max(params.w * (1 + params.r_s) - params.v, 0.0), 0.0, 0.0)
+    return _interior_returns(params, der)
 
 
 def mean_return_gap(params: MarketParams, eps: float) -> float:
@@ -123,8 +125,7 @@ def return_gap_scan(params: MarketParams) -> tuple[list[float], list[float]]:
     return grid, [mean_return_gap(params, e) for e in grid]
 
 
-def _q_core(params: MarketParams, eps: float, boundary_rules: bool) -> float:
-    lr = _returns_core(params, eps, boundary_rules)
+def _win_probability(params: MarketParams, lr: LimitReturns) -> float:
     return ((1 - params.delta) * (lr.r1 >= lr.r2_down)
             + params.delta * (lr.r1 >= lr.r2_up))
 
@@ -135,7 +136,7 @@ def q_eps(params: MarketParams, eps: float) -> float:
     Ties count toward the risk-free side.  Under the covered parameter range
     the value is 1-delta below eps_bar and 1 at or above it.
     """
-    return _q_core(params, eps, boundary_rules=True)
+    return _win_probability(params, limit_returns(params, eps))
 
 
 def _quad_roots(a: float, b: float, c: float) -> list[float]:
@@ -168,7 +169,9 @@ def _bisect_step(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 def _eps_bar_bisect(params: MarketParams, lo: float, hi: float) -> float:
     """Switch point of q found directly, using the interior formulas at eps=1."""
     q_hi = 1 - 1e-9  # q is a step between 1-delta and 1
-    return _bisect_step(lambda e: _q_core(params, e, boundary_rules=False) > q_hi, lo, hi)
+    return _bisect_step(
+        lambda e: _win_probability(params, _interior_returns(params, derive(params, e))) > q_hi,
+        lo, hi)
 
 
 def thresholds(params: MarketParams, check: bool = True) -> Thresholds:
@@ -185,7 +188,7 @@ def thresholds(params: MarketParams, check: bool = True) -> Thresholds:
 
     if not params.in_theory:
         def p_d_at(e: float) -> float:
-            return _limit_core(params, e, boundary_rules=False).p_d
+            return _interior_limit(params, derive(params, e)).p_d
 
         e1 = _bisect_step(lambda e: p_d_at(e) > 0.0, 0.0, 1.0)
         if p_d_at(1.0) < 1.0:

@@ -21,20 +21,10 @@ from .model import ParamError
 from .odeflow import ode_numeric
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ParamError(f"--seed: expected N[,N...], got {text!r}") from None
-    if not seeds:
-        raise ParamError("--seed: empty seed list")
-    return seeds
-
-
 def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
     if getattr(args, "seed", None):
-        config = replace(config, seeds=_parse_seeds(args.seed))
+        config = replace(config, seeds=harness.parse_seeds("--seed", args.seed))
     if getattr(args, "departures", None) is not None:
         config = replace(config, departures=args.departures)
     if getattr(args, "fixed_links", None):
@@ -131,7 +121,7 @@ def cmd_ess(args: argparse.Namespace) -> int:
         elif mode is EssMode.MULTI_MUTATION:
             verdict = check_multi_mutation(market, dyn, cand)
         else:
-            verdict = check_avg_ess(market, cand, cbar=args.cbar)
+            verdict = check_avg_ess(market, cand)
         bits = [f"candidate={cand:g}", f"mode={verdict.mode.value}",
                 f"ess={'yes' if verdict.is_ess else 'no'}",
                 f"margin={verdict.margin:.6g}"]
@@ -148,13 +138,13 @@ def cmd_ess(args: argparse.Namespace) -> int:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(f"reproduce_{args.target.replace('-', '_')}")
     if args.target == "fig-trajectories":
-        seed = _parse_seeds(args.seed)[0] if args.seed else 0
+        seed = harness.parse_seeds("--seed", args.seed)[0] if args.seed else 0
         for path in harness.reproduce_figures(out, seed=seed):
             print(path)
         return 0
     spec = harness.TABLE_SPECS[args.target]()
     if args.seed:
-        seeds = _parse_seeds(args.seed)
+        seeds = harness.parse_seeds("--seed", args.seed)
         spec = replace(spec, rows=tuple(
             replace(row, config=replace(row.config, seeds=seeds)) for row in spec.rows))
     report = harness.reproduce_table(spec, out_dir=out)
@@ -203,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="candidate fraction (repeatable; default 0 and 1)")
     pe.add_argument("--mode", choices=[m.value for m in EssMode],
                     default=EssMode.SWITCH_UTILITY.value)
-    pe.add_argument("--cbar", type=float, default=1.0,
-                    help="observation mass for avg-return mode")
     pe.set_defaults(func=cmd_ess)
 
     pr = sub.add_parser("reproduce", help="preset tables and trajectory figures")

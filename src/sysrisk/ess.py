@@ -6,7 +6,10 @@ inside the post-invasion mixture.  Two utilities are supported: the
 switch-count utility of the sampling dynamics (driven by the win probability
 q of the risk-free return) and the mean-return utility of the averaging
 dynamics.  Both single-mutant checks run one verdict loop, each with its own
-advantage function, and `_switch_gap` is the one switch utility gap formula.
+advantage function, over fixed grids: every mutant fraction i/100 other than
+the candidate, at the shares in `_X_GRID`.  The multi-mutation check blends
+fixed mutant profiles around the candidate.  `_switch_gap` is the one switch
+utility gap formula.
 """
 from __future__ import annotations
 
@@ -51,9 +54,8 @@ class EssVerdict:
 _X_GRID = (1e-3, 1e-2, 0.05, 0.1)
 
 
-def _default_mutants(candidate: float, step: float = 0.01) -> tuple[float, ...]:
-    k = round(1.0 / step)
-    return tuple(i * step for i in range(k + 1) if abs(i * step - candidate) > 1e-9)
+def _default_mutants(candidate: float) -> tuple[float, ...]:
+    return tuple(i * 0.01 for i in range(101) if abs(i * 0.01 - candidate) > 1e-9)
 
 
 def _switch_gap(params: MarketParams, dyn: DynamicsParams,
@@ -82,31 +84,24 @@ def _beta_sign_gate(params: MarketParams, dyn: DynamicsParams) -> bool:
     return beta * bs > 0.0 or (beta == 0.0 and bs == 0.0)
 
 
-def _single_mutant_verdict(candidate: float, mutant_grid: tuple[float, ...] | None,
-                           x_grid: tuple[float, ...] | None,
-                           advantage: Callable[[float, float], float],
+def _single_mutant_verdict(candidate: float, advantage: Callable[[float, float], float],
                            ) -> tuple[bool, float, float | None]:
     """Run `advantage(mutant, x)` over the grids: (is_ess, margin, x_bar_used).
 
-    For each mutant the check looks for a share threshold x_bar in `x_grid`
+    For each mutant the check looks for a share threshold x_bar in `_X_GRID`
     below which the incumbent's advantage stays strictly positive; the verdict
     is positive only if every mutant has one, and x_bar_used is then the
     smallest of them.
     """
     if not 0.0 <= candidate <= 1.0:
         raise ParamError("candidate: must lie in [0, 1]")
-    mutants = _default_mutants(candidate) if mutant_grid is None else tuple(mutant_grid)
-    xs = _X_GRID if x_grid is None else tuple(sorted(x_grid))
-    if not mutants or not xs:
-        raise ParamError("grids: need at least one mutant and one share")
-
     worst = float("inf")
     best_uniform_x: float | None = None
     ok = True
-    for mut in mutants:
-        adv = [advantage(mut, x) for x in xs]
+    for mut in _default_mutants(candidate):
+        adv = [advantage(mut, x) for x in _X_GRID]
         prefix = 0
-        while prefix < len(xs) and adv[prefix] > 0.0:
+        while prefix < len(_X_GRID) and adv[prefix] > 0.0:
             prefix += 1
         if prefix == 0:
             ok = False
@@ -115,54 +110,45 @@ def _single_mutant_verdict(candidate: float, mutant_grid: tuple[float, ...] | No
             continue
         worst = min(worst, min(adv[:prefix]))
         if ok:
-            x_bar = xs[prefix - 1]
+            x_bar = _X_GRID[prefix - 1]
             best_uniform_x = x_bar if best_uniform_x is None else min(best_uniform_x, x_bar)
     return ok, worst, best_uniform_x
 
 
-def check_mixed_ess(params: MarketParams, dyn: DynamicsParams, candidate: float,
-                    mutant_grid: tuple[float, ...] | None = None,
-                    x_grid: tuple[float, ...] | None = None) -> EssVerdict:
+def check_mixed_ess(params: MarketParams, dyn: DynamicsParams, candidate: float) -> EssVerdict:
     """Is `candidate` stable against every single mutant on the grid?
 
     The incumbent's advantage over a mutant is minus its switch utility gap.
     """
     ok, worst, x_bar = _single_mutant_verdict(
-        candidate, mutant_grid, x_grid,
-        lambda mut, x: -switch_utility_gap(params, dyn, mut, candidate, x))
+        candidate, lambda mut, x: -switch_utility_gap(params, dyn, mut, candidate, x))
     return EssVerdict(candidate=candidate, is_ess=ok, margin=worst, x_bar_used=x_bar,
                       mode=EssMode.SWITCH_UTILITY,
                       predominant_switching=_beta_sign_gate(params, dyn))
 
 
-def check_multi_mutation(params: MarketParams, dyn: DynamicsParams, candidate: float,
-                         mutant_profiles: tuple[tuple[tuple[float, float], ...], ...] | None = None,
-                         ) -> EssVerdict:
+def check_multi_mutation(params: MarketParams, dyn: DynamicsParams,
+                         candidate: float) -> EssVerdict:
     """Stability against several simultaneous mutations.
 
-    Each profile is a tuple of (eps_i, x_i) pairs with small total share; the
+    Each profile is a tuple of (eps_i, x_i) pairs with small total share: the
+    fractions candidate -/+ d (those inside [0, 1]) at share 0.01 each, for
+    d = 0.05, 0.1 and 0.2, then 0.25 and 0.75 at share 0.02 each.  The
     candidate must strictly beat every mutant inside the blended mixture.  A
     profile with mutants on both sides of an interior candidate always breaks
     it, since the utility ordering is linear in the strategy fraction.
     """
     if not 0.0 <= candidate <= 1.0:
         raise ParamError("candidate: must lie in [0, 1]")
-    if mutant_profiles is None:
-        profiles: list[tuple[tuple[float, float], ...]] = []
-        for d in (0.05, 0.1, 0.2):
-            pair = [(e, 0.01) for e in (candidate - d, candidate + d) if 0.0 <= e <= 1.0]
-            if pair:
-                profiles.append(tuple(pair))
-        profiles.append(tuple((m, 0.02) for m in (0.25, 0.75) if abs(m - candidate) > 1e-9))
-        mutant_profiles = tuple(p for p in profiles if p)
+    profiles = [tuple((e, 0.01) for e in (candidate - d, candidate + d) if 0.0 <= e <= 1.0)
+                for d in (0.05, 0.1, 0.2)]
+    profiles.append(tuple((m, 0.02) for m in (0.25, 0.75) if abs(m - candidate) > 1e-9))
 
     worst = float("inf")
     max_share = 0.0
     ok = True
-    for profile in mutant_profiles:
+    for profile in profiles:
         total = sum(x for _, x in profile)
-        if not 0.0 < total < 1.0:
-            raise ParamError("profile: total mutant share must lie in (0, 1)")
         max_share = max(max_share, total)
         eps_x = sum(e * x for e, x in profile) + (1.0 - total) * candidate
         for eps_i, _ in profile:
@@ -176,19 +162,15 @@ def check_multi_mutation(params: MarketParams, dyn: DynamicsParams, candidate: f
                       predominant_switching=_beta_sign_gate(params, dyn))
 
 
-def check_avg_ess(params: MarketParams, candidate: float, cbar: float = 1.0,
-                  mutant_grid: tuple[float, ...] | None = None,
-                  x_grid: tuple[float, ...] | None = None) -> EssVerdict:
+def check_avg_ess(params: MarketParams, candidate: float) -> EssVerdict:
     """Stability under the averaging dynamics' mean-return utility.
 
-    The observation noise scale `cbar` washes out of the expected-utility
-    ranking (it only affects how often a finite sample mis-orders the
-    groups), so the verdict depends on the mean returns alone.
+    The observation noise only affects how often a finite sample mis-orders
+    the groups, not the expected-utility ranking, so the verdict depends on
+    the mean returns alone and the check takes no noise scale.
     """
-    if cbar <= 0.0:
-        raise ParamError("cbar: noise scale must be positive")
     ok, worst, x_bar = _single_mutant_verdict(
-        candidate, mutant_grid, x_grid,
+        candidate,
         lambda mut, x: (candidate - mut) * mean_return_gap(params, x * mut + (1.0 - x) * candidate))
     # flag parameter sets where the return gap is not single-crossing
     _, gaps = return_gap_scan(params)

@@ -64,6 +64,17 @@ _RUN_TYPES: dict[str, object] = {"departures": bool, "fixed_links": bool,
                                  "seeds": "seeds"}
 
 
+def parse_seeds(key: str, text: str) -> tuple[int, ...]:
+    """A non-empty comma-separated seed list; `key` names it in errors."""
+    try:
+        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ParamError(f"{key}: expected comma-separated integers, got {text!r}") from None
+    if not seeds:
+        raise ParamError(f"{key}: empty seed list")
+    return seeds
+
+
 def _coerce(key: str, raw: str, tp: object) -> object:
     if tp is bool:
         low = raw.lower()
@@ -74,16 +85,16 @@ def _coerce(key: str, raw: str, tp: object) -> object:
         raise ParamError(f"{key}: expected a boolean, got {raw!r}")
     if tp in (int, float):
         try:
-            return tp(raw)
+            value = tp(raw)
         except ValueError:
             raise ParamError(f"{key}: expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ParamError(f"{key}: expected a finite number, got {raw!r}")
+        return value
     if tp is str:
         return raw
     if tp == "seeds":
-        try:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        except ValueError:
-            raise ParamError(f"{key}: expected comma-separated integers, got {raw!r}") from None
+        return parse_seeds(key, raw)
     args = typing.get_args(tp)
     if args and type(None) in args:
         if raw.lower() in ("", "none"):
@@ -154,6 +165,7 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     flat: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -161,7 +173,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ParamError(f"{path}:{lineno}: expected 'key = value'")
-        flat[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ParamError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
+        flat[key] = value.strip()
     return config_from_flat(flat)
 
 
@@ -232,26 +248,30 @@ def asymptotic_limit(config: ExperimentConfig) -> float:
     raise ParamError(f"eps0: {eps0!r} not covered by any basin")  # pragma: no cover
 
 
-def assert_horizon(config: ExperimentConfig, row_tol: float = 0.05,
-                   settle_tol: float = 0.01, max_doublings: int = 6) -> int:
+_ROW_TOL = 0.05       # a table row passes when its median is this close to target
+_SETTLE_TOL = 0.01    # the flow has settled when it is this close to its limit
+_MAX_DOUBLINGS = 6    # assert_horizon stretches a slow cell to at most 64x
+
+
+def assert_horizon(config: ExperimentConfig) -> int:
     """Horizon at which comparing the simulation to its limit is meaningful.
 
-    Rows whose flow is already within `row_tol` of the limit at the preset
-    horizon keep it.  A slow cell that is not gets its horizon doubled until
-    the flow itself has settled to within `settle_tol`; comparing the
-    simulation against the limit any earlier would test patience, not
-    correctness.
+    Rows whose flow is already within the row tolerance (`_ROW_TOL`) of the
+    limit at the preset horizon keep it.  A slow cell that is not gets its
+    horizon doubled, at most `_MAX_DOUBLINGS` times, until the flow itself
+    has settled to within `_SETTLE_TOL`; comparing the simulation against the
+    limit any earlier would test patience, not correctness.
     """
     target = asymptotic_limit(config)
     rounds = config.dynamics.rounds
-    if abs(theory_at_horizon(config) - target) <= row_tol:
+    if abs(theory_at_horizon(config) - target) <= _ROW_TOL:
         return rounds
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         rounds *= 2
         probe = replace(config, dynamics=replace(config.dynamics, rounds=rounds))
-        if abs(theory_at_horizon(probe) - target) <= settle_tol:
+        if abs(theory_at_horizon(probe) - target) <= _SETTLE_TOL:
             return rounds
-    log.warning("flow still %g away from %g at %d rounds", settle_tol, target, rounds)
+    log.warning("flow still %g away from %g at %d rounds", _SETTLE_TOL, target, rounds)
     return rounds
 
 
@@ -266,7 +286,6 @@ _TARGET_HORIZON = "finite-horizon"
 class RowSpec:
     config: ExperimentConfig
     target_kind: str = _TARGET_LIMIT  # "limit" or "finite-horizon"
-    tol: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -343,7 +362,7 @@ def reproduce_table(spec: TableSpec, out_dir: str | Path | None = None) -> Table
         # the limit once the flow has settled there, the flow value otherwise
         # (slow cells sit a visible distance from their limit at any fixed
         # round count, and that distance is physics, not sampling error).
-        settled = abs(horizon_est - limit) <= 0.01
+        settled = abs(horizon_est - limit) <= _SETTLE_TOL
         target = limit if row.target_kind == _TARGET_LIMIT and settled else horizon_est
         rows.append(TableRow(
             config_id=config.label, eps0=dyn.eps0, target=target,
@@ -351,8 +370,8 @@ def reproduce_table(spec: TableSpec, out_dir: str | Path | None = None) -> Table
             eps_mc_median=median, eps_mc_mean=mean, eps_mc_stderr=stderr,
             escapes=escapes, eps_bar=th.eps_bar, eps_bar_1=th.eps_bar_1,
             beta=beta, mean_L=flow_dynamics(config).mean_L,
-            rounds=dyn.rounds, n_seeds=len(config.seeds), tol=row.tol,
-            passed=abs(median - target) <= row.tol))
+            rounds=dyn.rounds, n_seeds=len(config.seeds), tol=_ROW_TOL,
+            passed=abs(median - target) <= _ROW_TOL))
     report = TableReport(name=spec.name, rows=tuple(rows))
     if out_dir is not None:
         write_table_report(report, spec, out_dir)
@@ -503,8 +522,11 @@ def table2_spec(n_seeds: int = 20) -> TableSpec:
     return TableSpec(name="table2", rows=tuple(rows))
 
 
+_SLOW_SEEDS = 5  # seeds of a cell whose horizon assert_horizon stretched
+
+
 def _departure_row(b: float, eps0: float, mean_L: float, departures: bool,
-                   n_seeds: int, slow_seeds: int) -> RowSpec:
+                   n_seeds: int) -> RowSpec:
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=mean_L, b_n=b, b_s=b,
                          n0=500, eps0=eps0, rounds=4000)
     config = ExperimentConfig(market=_imitation_market(), dynamics=dyn,
@@ -513,28 +535,28 @@ def _departure_row(b: float, eps0: float, mean_L: float, departures: bool,
                                      f"{'on' if departures else 'off'}"))
     horizon = assert_horizon(config)
     if horizon != dyn.rounds:
-        config = replace(config, seeds=tuple(range(slow_seeds)),
+        config = replace(config, seeds=tuple(range(_SLOW_SEEDS)),
                          dynamics=replace(dyn, rounds=horizon))
     return RowSpec(config=config)
 
 
-def table3_spec(n_seeds: int = 10, slow_seeds: int = 5) -> TableSpec:
+def table3_spec(n_seeds: int = 10) -> TableSpec:
     """Departure on/off pairs at high observation accuracy (b = 0.8)."""
-    rows = (_departure_row(0.8, 0.4, 5.6, True, n_seeds, slow_seeds),
-            _departure_row(0.8, 0.4, 0.0, False, n_seeds, slow_seeds),
-            _departure_row(0.8, 0.3, 2.1, True, n_seeds, slow_seeds),
-            _departure_row(0.8, 0.3, 0.0, False, n_seeds, slow_seeds))
+    rows = (_departure_row(0.8, 0.4, 5.6, True, n_seeds),
+            _departure_row(0.8, 0.4, 0.0, False, n_seeds),
+            _departure_row(0.8, 0.3, 2.1, True, n_seeds),
+            _departure_row(0.8, 0.3, 0.0, False, n_seeds))
     return TableSpec(name="table3", rows=rows)
 
 
-def table4_spec(n_seeds: int = 10, slow_seeds: int = 5) -> TableSpec:
+def table4_spec(n_seeds: int = 10) -> TableSpec:
     """Departure on/off pairs at low observation accuracy (b = 0.4)."""
-    rows = (_departure_row(0.4, 0.4, 1.75, True, n_seeds, slow_seeds),
-            _departure_row(0.4, 0.4, 0.0, False, n_seeds, slow_seeds),
-            _departure_row(0.4, 0.8, 1.0, True, n_seeds, slow_seeds),
-            _departure_row(0.4, 0.8, 0.0, False, n_seeds, slow_seeds),
-            _departure_row(0.4, 0.5, 0.7, True, n_seeds, slow_seeds),
-            _departure_row(0.4, 0.5, 0.0, False, n_seeds, slow_seeds))
+    rows = (_departure_row(0.4, 0.4, 1.75, True, n_seeds),
+            _departure_row(0.4, 0.4, 0.0, False, n_seeds),
+            _departure_row(0.4, 0.8, 1.0, True, n_seeds),
+            _departure_row(0.4, 0.8, 0.0, False, n_seeds),
+            _departure_row(0.4, 0.5, 0.7, True, n_seeds),
+            _departure_row(0.4, 0.5, 0.0, False, n_seeds))
     return TableSpec(name="table4", rows=rows)
 
 
@@ -589,27 +611,30 @@ def reproduce_figures(out_dir: str | Path, seed: int = 0) -> list[Path]:
 # --------------------------------------------------------------------------
 # systemic-cost contrast
 
+_ADAPTIVE_CAP = 0.9    # adaptive tail default fraction must stay below this
+_FROZEN_FLOOR = 0.97   # frozen tail default fraction must reach this
+
+
 @dataclass(frozen=True)
 class ContrastReport:
     """Adaptation versus a frozen all-risky population under heavy senior debt.
 
     The adaptive population starts mixed and is free to imitate; the frozen
     one starts all-risky, where imitation has nobody to copy.  `passed`
-    requires the adaptive run to escape mass default (tail default fraction
-    below `adaptive_cap`) while the frozen run stays in it.
+    requires the adaptive run to escape mass default (median tail default
+    fraction below `_ADAPTIVE_CAP`) while the frozen run stays in it (at or
+    above `_FROZEN_FLOOR`).
     """
 
     adaptive_eps_tail: float
     adaptive_default_tail: float
     frozen_default_tail: float
-    adaptive_cap: float
-    frozen_floor: float
     n_seeds: int
 
     @property
     def passed(self) -> bool:
-        return (self.adaptive_default_tail < self.adaptive_cap
-                and self.frozen_default_tail >= self.frozen_floor)
+        return (self.adaptive_default_tail < _ADAPTIVE_CAP
+                and self.frozen_default_tail >= _FROZEN_FLOOR)
 
 
 def contrast_configs(n_seeds: int = 10) -> tuple[ExperimentConfig, ExperimentConfig]:
@@ -635,9 +660,7 @@ def _tail_default(trajectory: Trajectory) -> float:
                             if rec.default_frac is not None)
 
 
-def systemic_contrast(n_seeds: int = 10, out_dir: str | Path | None = None,
-                      adaptive_cap: float = 0.9, frozen_floor: float = 0.97,
-                      ) -> ContrastReport:
+def systemic_contrast(n_seeds: int = 10, out_dir: str | Path | None = None) -> ContrastReport:
     adaptive, frozen = contrast_configs(n_seeds)
     results_a = run_many(adaptive, keep_trajectories=True)
     results_f = run_many(frozen, keep_trajectories=True)
@@ -645,8 +668,7 @@ def systemic_contrast(n_seeds: int = 10, out_dir: str | Path | None = None,
     default_a = statistics.median(_tail_default(t) for _, _, t in results_a if t)
     default_f = statistics.median(_tail_default(t) for _, _, t in results_f if t)
     report = ContrastReport(adaptive_eps_tail=eps_tail, adaptive_default_tail=default_a,
-                            frozen_default_tail=default_f, adaptive_cap=adaptive_cap,
-                            frozen_floor=frozen_floor, n_seeds=n_seeds)
+                            frozen_default_tail=default_f, n_seeds=n_seeds)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -74,7 +74,6 @@ class DerivedQuantities:
     c_eps: float    # interbank claim coefficient
     k_u: float      # risky proceeds after an up-move
     k_d: float      # risky proceeds after a down-move
-    w_tilde: float  # accumulated investable funds per risky agent
     w_low: float    # k_d - v
     w_high: float   # k_u - v
     expW: float     # mean of the shocked net proceeds
@@ -90,7 +89,6 @@ def derive(params: MarketParams, eps: float) -> DerivedQuantities:
     if not 0.0 <= eps <= 1.0:
         raise ParamError(f"eps: fraction {eps!r} outside [0, 1]")
     w, v, alpha, delta = params.w, params.v, params.alpha, params.delta
-    w_tilde = w * (1 + eps) / (1 - alpha)
     y = w * (alpha + eps) * (1 + params.r_b) / (1 - alpha)
     c_eps = alpha * (1 + eps) / (alpha + eps)
     k_u = w * (1 + eps) * (1 + params.u)
@@ -105,7 +103,7 @@ def derive(params: MarketParams, eps: float) -> DerivedQuantities:
                          "exactly offset the retained shock spread")
     a2 = (y - w_high) / a2_denom
     return DerivedQuantities(eps=eps, y=y, c_eps=c_eps, k_u=k_u, k_d=k_d,
-                             w_tilde=w_tilde, w_low=w_low, w_high=w_high,
+                             w_low=w_low, w_high=w_high,
                              expW=expW, a1=a1, a2=a2)
 
 

@@ -16,7 +16,7 @@ Flow time is measured on the round clock: round j of a run that started
 from n0 agents advances it by 1/(j + n0), and `round_clock` is the one
 place that sum is formed.  The module also houses the attractor
 classification, the finite-round estimate used for table predictions, and
-the average-return variant of the dynamics.
+the limit of the average-return variant of the dynamics.
 """
 from __future__ import annotations
 
@@ -402,24 +402,6 @@ def classify_attractors(params: MarketParams, dyn: DynamicsParams) -> AttractorR
              f"{', departures' if mean_L > 0 else ''}; " + " ".join(names))
     return AttractorReport(attractors=attractors, doa=doa,
                            regime_label=label, conjecture=conjecture)
-
-
-def avg_dynamics(params: MarketParams, cbar: float, eps: float) -> float:
-    """Drift of the fraction when agents compare noisy group-average returns.
-
-    The comparison noise has variance 1/(cbar*eps) + 1/(cbar*(1-eps)), so the
-    probability of seeing the risk-free group ahead is the normal CDF of the
-    mean return gap (`analytic.mean_return_gap`) times sqrt(cbar*eps*(1-eps)).
-    """
-    if cbar <= 0.0:
-        raise ParamError("cbar: observation mass must be positive")
-    if not 0.0 <= eps <= 1.0:
-        raise ParamError(f"eps: fraction {eps!r} outside [0, 1]")
-    if eps in (0.0, 1.0):
-        return 0.0
-    z = mean_return_gap(params, eps) * math.sqrt(cbar * eps * (1.0 - eps))
-    g = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    return eps * (1.0 - eps) * (2.0 * g - 1.0)
 
 
 @dataclass(frozen=True)

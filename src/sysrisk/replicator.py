@@ -229,16 +229,13 @@ def run_simulation(config, seed: int) -> Trajectory:
     return Trajectory(records=records, seed=seed, kind="mc", label=config.label)
 
 
-def estimate_limit(trajectory: Trajectory, tail_window: int | None = None) -> float:
+def estimate_limit(trajectory: Trajectory) -> float:
     """Terminal risk-free fraction: mean eps over the trajectory's tail.
 
-    The default window is a tenth of the run (at least one round).
+    The tail is the last tenth of the run, at least one round.
     """
     recs = trajectory.records
     if not recs:
         raise ParamError("trajectory: no rounds recorded")
-    if tail_window is None:
-        tail_window = max(1, len(recs) // 10)
-    if not 1 <= tail_window <= len(recs):
-        raise ParamError("tail_window: must lie in [1, rounds]")
-    return float(np.mean([r.eps for r in recs[-tail_window:]]))
+    window = max(1, len(recs) // 10)
+    return float(np.mean([r.eps for r in recs[-window:]]))

@@ -107,6 +107,18 @@ def test_ess_verdict_lines(config_path, capsys):
     assert "ess=no" in out
 
 
+@pytest.mark.parametrize("mode, lines", [
+    ("avg-return", ["candidate=0 mode=avg-return ess=no margin=-8.82812",
+                    "candidate=1 mode=avg-return ess=yes margin=0.166983 x_bar=0.1"]),
+    ("multi-mutation",
+     ["candidate=0 mode=multi-mutation ess=yes margin=0.018 x_bar=0.04 switching_dominant=yes",
+      "candidate=1 mode=multi-mutation ess=yes margin=0.03 x_bar=0.04 switching_dominant=yes"]),
+])
+def test_ess_mode_verdict_lines(config_path, capsys, mode, lines):
+    assert main(["ess", "--config", str(config_path), "--mode", mode]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_bad_inputs_exit_2(tmp_path, config_path, capsys):
     missing = tmp_path / "nope.txt"
     assert main(["simulate", "--config", str(missing)]) == 2
@@ -114,6 +126,10 @@ def test_bad_inputs_exit_2(tmp_path, config_path, capsys):
     bad.write_text("market.w = -3\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     assert main(["simulate", "--config", str(config_path), "--seed", "x"]) == 2
+    assert main(["simulate", "--config", str(config_path), "--seed", ","]) == 2
+    figs = tmp_path / "figs"
+    assert main(["reproduce", "fig-trajectories", "--seed", ",", "--out", str(figs)]) == 2
+    assert not figs.exists()
     capsys.readouterr()  # swallow the error text
 
 
@@ -125,6 +141,37 @@ def test_bad_seed_lists_exit_2(tmp_path, capsys, seeds):
                           preset.read_text()))
     assert main(["simulate", "--config", str(bad)]) == 2
     assert "run.seeds" in capsys.readouterr().err
+
+
+# mean_N = inf drops its bound, which would otherwise reject it first
+@pytest.mark.parametrize("key, value, drop", [
+    ("dynamics.mean_N", "inf", "dynamics.bound_N"),
+    ("dynamics.mean_S", "inf", None),
+    ("dynamics.mean_N", "nan", None),
+    ("market.w", "inf", None),
+    ("market.v", "-inf", None),
+])
+def test_non_finite_values_exit_2(tmp_path, capsys, key, value, drop):
+    preset = Path(__file__).resolve().parent.parent / "configs" / "trajectory_mid_start.txt"
+    text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", preset.read_text())
+    if drop is not None:
+        text = re.sub(rf"(?m)^{re.escape(drop)} = .*\n", "", text)
+    bad = tmp_path / "nonfinite.txt"
+    bad.write_text(text)
+    assert main(["analytic", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key}: expected a finite number, got {value!r}\n"
+
+
+def test_repeated_key_exits_2(tmp_path, config_path, capsys):
+    lines = config_path.read_text().splitlines()
+    bad = tmp_path / "twice.txt"
+    bad.write_text("\n".join(lines + ["market.v = 20.0"]) + "\n")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    first = lines.index("market.v = 15.0") + 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:{len(lines) + 1}: market.v already set on line {first}\n")
 
 
 def test_unknown_run_option_exits_2(tmp_path, config_path, capsys):

@@ -100,7 +100,3 @@ def test_avg_return_mode(imitation_market):
     risky = check_avg_ess(imitation_market, 1.0)
     assert risky.is_ess
     assert risky.margin == pytest.approx(0.1669831809863674)
-    # the observation mass scales the noise, not the verdict
-    assert check_avg_ess(imitation_market, 1.0, cbar=5.0).margin == risky.margin
-    with pytest.raises(ParamError):
-        check_avg_ess(imitation_market, 1.0, cbar=0.0)

@@ -11,7 +11,6 @@ from sysrisk.analytic import drift_rates
 from sysrisk.odeflow import (
     DegenerateFlowError,
     _flow_table,
-    avg_dynamics,
     avg_limit,
     classify_attractors,
     finite_round_estimate,
@@ -198,11 +197,3 @@ def test_avg_limit_all_risky():
     assert report.delta1_closed_form == pytest.approx(
         (market.r_b - rbar) / (rbar - market.r_s))
 
-
-def test_avg_dynamics_drift(imitation_market):
-    assert avg_dynamics(imitation_market, 1.0, 0.0) == 0.0
-    assert avg_dynamics(imitation_market, 1.0, 1.0) == 0.0
-    drift = avg_dynamics(imitation_market, 1.0, 0.3)
-    assert 0.0 < drift <= 0.3 * 0.7
-    with pytest.raises(ParamError):
-        avg_dynamics(imitation_market, 0.0, 0.3)

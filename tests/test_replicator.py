@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sysrisk import DynamicsParams, MarketParams, ParamError, RoundRecord, Trajectory
+from sysrisk import DynamicsParams, MarketParams, RoundRecord, Trajectory
 from sysrisk.replicator import (
     _imitate,
     estimate_limit,
@@ -141,14 +141,8 @@ def test_estimate_limit_tail_mean():
     records = tuple(RoundRecord(eps=e, psi=1.0, round=i)
                     for i, e in enumerate([0.1] * 30 + [0.5] * 10))
     traj = Trajectory(records=records, kind="mc")
-    # default window is a tenth of the run
+    # the window is a tenth of the run
     assert estimate_limit(traj) == pytest.approx(0.5)
-    assert estimate_limit(traj, tail_window=20) == pytest.approx((10 * 0.1 + 10 * 0.5) / 20)
-    assert estimate_limit(traj, tail_window=40) == pytest.approx((30 * 0.1 + 10 * 0.5) / 40)
-    with pytest.raises(ParamError):
-        estimate_limit(traj, tail_window=41)
-    with pytest.raises(ParamError):
-        estimate_limit(traj, tail_window=0)
 
 
 def _reference_switches(r, n1, attempters, contacts, flips):
