@@ -53,7 +53,7 @@ from .harness import (
     write_trajectories,
 )
 from .model import DerivedQuantities, DynamicsParams, MarketParams, ParamError, SolverError, derive
-from .netgen import LiabilityGraph, ShockVector, pair_uniform, sample_network, sample_shocks
+from .netgen import LiabilityGraph, ShockVector, sample_network, sample_shocks
 from .odeflow import (
     AttractorReport,
     AvgLimit,

@@ -41,9 +41,19 @@ class ClearingResult:
 
 @dataclass(frozen=True)
 class ReturnsVector:
-    r1: np.ndarray        # (n1,) risk-free surpluses
-    r2: np.ndarray        # (n2,) risky surpluses
+    r: np.ndarray         # (n,) surpluses, risk-free agents first, as agents are indexed
+    n1: int
     defaults: np.ndarray  # local borrower indices paying short of y
+
+    @property
+    def r1(self) -> np.ndarray:
+        """(n1,) risk-free surpluses."""
+        return self.r[:self.n1]
+
+    @property
+    def r2(self) -> np.ndarray:
+        """(n2,) risky surpluses."""
+        return self.r[self.n1:]
 
 
 class DefaultStats(NamedTuple):
@@ -133,11 +143,12 @@ def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,
                     shocks: ShockVector, params: MarketParams) -> ReturnsVector:
     """Per-agent surpluses after clearing, clamped at limited liability."""
     n1 = graph.n1
-    r1 = np.maximum(params.w * graph.eps * (1 + params.r_s)
-                    + clearing.claims[:n1] - params.v, 0.0)
-    r2 = np.maximum(shocks.k + clearing.claims[n1:] - params.v - graph.y, 0.0)
+    r = np.empty(graph.n)
+    np.maximum(params.w * graph.eps * (1 + params.r_s) + clearing.claims[:n1] - params.v,
+               0.0, out=r[:n1])
+    np.maximum(shocks.k + clearing.claims[n1:] - params.v - graph.y, 0.0, out=r[n1:])
     defaults = np.flatnonzero(_defaulted(clearing.X, graph.y))
-    return ReturnsVector(r1=r1, r2=r2, defaults=defaults)
+    return ReturnsVector(r=r, n1=n1, defaults=defaults)
 
 
 def default_stats(clearing: ClearingResult, y: float) -> DefaultStats:

@@ -27,10 +27,6 @@ def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
         config = replace(config, seeds=harness.parse_seeds("--seed", args.seed))
     if getattr(args, "departures", None) is not None:
         config = replace(config, departures=args.departures)
-    if getattr(args, "fixed_links", None):
-        config = replace(config, fixed_links=True)
-    if getattr(args, "deterministic_counts", None):
-        config = replace(config, deterministic_counts=True)
     return config
 
 
@@ -183,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", metavar="N[,N...]", help="override the config's seeds")
     ps.add_argument("--out", metavar="DIR", help="write trajectories.csv + metadata.json")
     ps.add_argument("--departures", action=argparse.BooleanOptionalAction, default=None)
-    ps.add_argument("--fixed-links", action="store_true", default=None)
-    ps.add_argument("--deterministic-counts", action="store_true", default=None)
     ps.set_defaults(func=cmd_simulate)
 
     pe = sub.add_parser("ess", help="stability verdicts for candidate fractions")

@@ -44,8 +44,6 @@ class ExperimentConfig:
     market: MarketParams
     dynamics: DynamicsParams
     departures: bool = True
-    fixed_links: bool = False
-    deterministic_counts: bool = False
     seeds: tuple[int, ...] = (0,)
     label: str = ""
 
@@ -59,9 +57,7 @@ class ExperimentConfig:
 
 _MARKET_TYPES = typing.get_type_hints(MarketParams)
 _DYN_TYPES = typing.get_type_hints(DynamicsParams)
-_RUN_TYPES: dict[str, object] = {"departures": bool, "fixed_links": bool,
-                                 "deterministic_counts": bool, "label": str,
-                                 "seeds": "seeds"}
+_RUN_TYPES: dict[str, object] = {"departures": bool, "seeds": "seeds", "label": str}
 
 
 def parse_seeds(key: str, text: str) -> tuple[int, ...]:
@@ -123,7 +119,7 @@ def config_to_flat(config: ExperimentConfig) -> dict[str, str]:
         flat[f"market.{name}"] = _render(value)
     for name, value in asdict(config.dynamics).items():
         flat[f"dynamics.{name}"] = _render(value)
-    for name in ("departures", "fixed_links", "deterministic_counts", "seeds", "label"):
+    for name in _RUN_TYPES:
         flat[f"run.{name}"] = _render(getattr(config, name))
     return flat
 

@@ -1,11 +1,12 @@
 """Random liability networks and per-round shock draws.
 
 A round's network has two groups: risk-free lenders (indices 0..n1-1) and
-risky borrowers (indices n1..n-1).  Every ordered (creditor, borrower) pair
-is linked independently with probability p_ss, and a linked edge carries one
-of exactly two weights -- one for risk-free creditors, one for risky peers --
-scaled so that a borrower's total liability concentrates on y (principal plus
-borrowing interest) as n grows.
+risky borrowers (indices n1..n-1).  Each round draws a fresh network, in
+which every ordered (creditor, borrower) pair is linked independently with
+probability p_ss; no link carries over to the next round.  A linked edge
+carries one of exactly two weights -- one for risk-free creditors, one for
+risky peers -- scaled so that a borrower's total liability concentrates on y
+(principal plus borrowing interest) as n grows.
 """
 from __future__ import annotations
 
@@ -49,40 +50,9 @@ class ShockVector:
     k_d: float
 
 
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
-
-
-def pair_uniform(key: int, creditor_ids: np.ndarray, borrower_ids: np.ndarray) -> np.ndarray:
-    """Stateless uniform(0,1) per (creditor, borrower) id pair.
-
-    Used by the fixed-links mode: the same key and id pair always yield the
-    same draw, so links persist across rounds without storing the graph.
-    Broadcasts like the inputs.
-    """
-    a = np.asarray(creditor_ids, dtype=np.uint64) * _GOLD
-    b = np.asarray(borrower_ids, dtype=np.uint64) * _M2
-    h = _mix64(_mix64(np.uint64(key & 0xFFFFFFFFFFFFFFFF) ^ a) ^ b)
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
-
 def sample_network(params: MarketParams, n1: int, n2: int,
-                   rng_stream: np.random.Generator, *,
-                   link_key: int | None = None,
-                   agent_ids: np.ndarray | None = None) -> LiabilityGraph:
-    """Draw one round's liability network.
-
-    With `link_key` set (fixed-links mode) the indicator comes from the
-    stateless pair hash over stable `agent_ids` (length n, group order)
-    instead of fresh randomness, so surviving agents keep their links.
-    """
+                   rng_stream: np.random.Generator) -> LiabilityGraph:
+    """Draw one round's liability network, independently of every other round."""
     if n1 < 0 or n2 < 0 or n1 + n2 < 2:
         raise ParamError("n1/n2: need at least two agents, neither group negative")
     n = n1 + n2
@@ -101,16 +71,7 @@ def sample_network(params: MarketParams, n1: int, n2: int,
 
     indicator = None
     if params.p_ss < 1.0:
-        if link_key is not None:
-            if agent_ids is None:
-                raise ParamError("agent_ids: fixed-links sampling needs stable ids")
-            ids = np.asarray(agent_ids, dtype=np.uint64)
-            if ids.shape != (n,):
-                raise ParamError(f"agent_ids: expected {n} ids, got {ids.shape}")
-            draws = pair_uniform(link_key, ids[None, :], ids[n1:, None])
-        else:
-            draws = rng_stream.random((n2, n))
-        indicator = draws < params.p_ss
+        indicator = rng_stream.random((n2, n)) < params.p_ss
         indicator[np.arange(n2), n1 + np.arange(n2)] = False
     return LiabilityGraph(n1=n1, n2=n2, y=der.y, eps=eps,
                           w_g1=w_g1, w_g2=w_g2, indicator=indicator)

@@ -174,8 +174,8 @@ def _flow(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
           t: float, mean_L: float) -> OdeState:
     if not 0.0 <= eps0 <= 1.0:
         raise ParamError(f"eps0: fraction {eps0!r} outside [0, 1]")
-    if psi0 <= 0.0:
-        raise ParamError("psi0: population rate must be positive")
+    if not (math.isfinite(psi0) and psi0 > 0.0):
+        raise ParamError(f"psi0: population rate must be finite and positive, got {psi0!r}")
     if t < 0.0:
         raise ParamError("t: flow time cannot be negative")
     table = _flow_table(params, dyn, mean_L)
@@ -261,12 +261,12 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
     rates.  Records one row per accepted step (plus one per event landing)
     with the clock in `t`.
     """
-    if step <= 0.0:
-        raise ParamError("step: must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ParamError(f"step: must be finite and positive, got {step!r}")
     if not 0.0 <= eps0 <= 1.0:
         raise ParamError(f"eps0: fraction {eps0!r} outside [0, 1]")
-    if psi0 <= 0.0:
-        raise ParamError("psi0: population rate must be positive")
+    if not (math.isfinite(psi0) and psi0 > 0.0):
+        raise ParamError(f"psi0: population rate must be finite and positive, got {psi0!r}")
     beta, k1 = drift_rates(params, dyn)
     table = _flow_table(params, dyn, dyn.mean_L)
 

@@ -174,18 +174,32 @@ def test_repeated_key_exits_2(tmp_path, config_path, capsys):
         f"error: {bad}:{len(lines) + 1}: market.v already set on line {first}\n")
 
 
-def test_unknown_run_option_exits_2(tmp_path, config_path, capsys):
-    # run outputs go to --out; a config naming an output directory is refused, not ignored
-    bad = tmp_path / "out_dir.txt"
-    bad.write_text(config_path.read_text() + "run.out_dir = results\n")
+# run outputs go to --out, and the fixed-links and deterministic-counts modes are
+# gone; a config naming any of them is refused, not ignored
+@pytest.mark.parametrize("key, value", [("run.out_dir", "results"),
+                                        ("run.fixed_links", "false"),
+                                        ("run.deterministic_counts", "true")])
+def test_unknown_run_option_exits_2(tmp_path, config_path, capsys, key, value):
+    bad = tmp_path / "unknown.txt"
+    bad.write_text(config_path.read_text() + f"{key} = {value}\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: run.out_dir: unknown run option\n"
+    assert captured.err == f"error: {key}: unknown run option\n"
+
+
+def test_retired_simulate_flag_exits_2(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(config_path), "--fixed-links"])
+    assert exc.value.code == 2
+    assert "--fixed-links" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--every", "0"], ["--every", "-1"], ["--rounds", "-1"],
-                                   ["--rounds", "-1", "--method", "numeric"]])
+                                   ["--rounds", "-1", "--method", "numeric"],
+                                   ["--psi0", "nan"], ["--psi0", "inf"],
+                                   ["--method", "numeric", "--step", "nan"],
+                                   ["--method", "numeric", "--psi0", "nan"]])
 def test_bad_flow_ranges_exit_2(config_path, capsys, flags):
     assert main(["ode", "--config", str(config_path), *flags]) == 2
     captured = capsys.readouterr()

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from sysrisk import (
     Trajectory,
     config_digest,
     load_config,
+    run_simulation,
     save_config,
 )
 from sysrisk.harness import (
@@ -44,6 +48,8 @@ from sysrisk.harness import (
     write_trajectories,
 )
 from sysrisk.odeflow import finite_round_estimate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -83,6 +89,17 @@ def test_config_file_round_trip(tmp_path, mini_config):
     assert load_config(path) == mini_config
 
 
+def test_readme_config_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL)
+    path = tmp_path / "readme.txt"
+    path.write_text(block.group(1))
+    config = load_config(path)
+    assert config.market.w == 70.0 and config.market.p_ss == 1.0
+    assert config.dynamics.rounds == 4000
+    assert config.departures and config.seeds == (0, 1, 2) and config.label == "example"
+
+
 def test_config_rejects_unknown_keys(mini_config):
     flat = config_to_flat(mini_config)
     with pytest.raises(ParamError):
@@ -118,6 +135,32 @@ def test_trajectory_csv_schema():
     again = io.StringIO()
     write_trajectories(again, [traj])
     assert again.getvalue() == text  # byte-identical rerun
+
+
+# SHA-256 of each shipped config's seed-0 trajectory export over its first 200 rounds.
+# They pin the seeded Monte-Carlo stream: a change that moves any draw changes them and
+# must restate them.  All five configs run on the complete graph, whose clearing solves
+# two scalar unknowns; sparse clearing goes through BLAS matrix products, whose rounding
+# may differ between machines, so no sparse run is pinned.
+STREAM_PINS = {
+    "departures_high_accuracy.txt":
+        "a30acf93c1533850780bba22fc7bbd568745cacfc6b6f350a2f41ca479ad2cb5",
+    "growth_pure_safe.txt": "e03937ece918d75ae31aa6ee0bfd7c8a735ed9da1da0c325f3234f406c109735",
+    "systemic_adaptive.txt": "00c1f75dd64af2a2647dd7e86a10bade1460b003f9c24bf11e4425a8bd001221",
+    "systemic_frozen.txt": "995cc9c3acf122a3cd955df3bd625ce879132c49c1095fbf758dda11a6a568e5",
+    "trajectory_mid_start.txt":
+        "2c868fc2797d36134e819d6601f0a406a9b76d3d07d3e9a52de841f6c7492449",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_shipped_config_stream_pins(name):
+    config = load_config(ROOT / "configs" / name)
+    assert config.market.p_ss == 1.0
+    config = replace(config, dynamics=replace(config.dynamics, rounds=200))
+    buf = io.StringIO()
+    write_trajectories(buf, [run_simulation(config, 0)])
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == STREAM_PINS[name]
 
 
 def test_flow_export_blanks_integer_columns(mini_config):

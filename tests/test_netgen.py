@@ -1,4 +1,4 @@
-"""Liability-network sampling: weights, link persistence, shock draws."""
+"""Liability-network sampling: weights, reproducibility, shock draws."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from sysrisk import MarketParams, ParamError
-from sysrisk.netgen import pair_uniform, sample_network, sample_shocks
+from sysrisk.netgen import sample_network, sample_shocks
 
 
 @pytest.fixture(scope="module")
@@ -62,31 +62,6 @@ def test_sampling_is_reproducible(market):
     a = sample_network(sparse, 10, 20, np.random.default_rng(42))
     b = sample_network(sparse, 10, 20, np.random.default_rng(42))
     assert_array_equal(a.indicator, b.indicator)
-
-
-def test_pair_uniform_stateless():
-    creditors = np.array([1, 2])
-    borrowers = np.array([3, 4])
-    draws = pair_uniform(7, creditors, borrowers)
-    assert_allclose(draws, [0.2090516022890221, 0.9848400246008213], rtol=1e-15)
-    assert_array_equal(draws, pair_uniform(7, creditors, borrowers))
-    assert not np.array_equal(draws, pair_uniform(8, creditors, borrowers))
-
-
-def test_fixed_links_persist_across_rounds(market):
-    sparse = replace(market, p_ss=0.4)
-    ids = np.arange(100, 130, dtype=np.uint64)
-    a = sample_network(sparse, 10, 20, np.random.default_rng(1),
-                       link_key=99, agent_ids=ids)
-    b = sample_network(sparse, 10, 20, np.random.default_rng(777),
-                       link_key=99, agent_ids=ids)
-    assert_array_equal(a.indicator, b.indicator)  # rng state is irrelevant
-
-    with pytest.raises(ParamError):
-        sample_network(sparse, 10, 20, np.random.default_rng(1), link_key=99)
-    with pytest.raises(ParamError):
-        sample_network(sparse, 10, 20, np.random.default_rng(1),
-                       link_key=99, agent_ids=ids[:-1])
 
 
 def test_tiny_networks_rejected(market):

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, RoundRecord, Trajectory
 from sysrisk.replicator import (
+    PopulationState,
     _imitate,
     estimate_limit,
     initial_state,
     run_simulation,
-    step_round,
 )
 
 
@@ -21,8 +21,6 @@ class Cfg:
     market: MarketParams
     dynamics: DynamicsParams
     departures: bool = True
-    fixed_links: bool = False
-    deterministic_counts: bool = False
     label: str = ""
 
 
@@ -100,41 +98,12 @@ def test_all_safe_population_skips_clearing(imitation_market):
         assert rec.default_frac == 0.0
 
 
-def test_deterministic_counts(short_cfg):
-    det = replace(short_cfg, deterministic_counts=True)
-    traj = run_simulation(det, seed=9)
-    dyn = short_cfg.dynamics
-    for prev, cur in zip(traj.records, traj.records[1:]):
-        arrivals = cur.n - prev.n + prev.departures
-        assert arrivals == round(dyn.mean_N)
-        # departures draw at the rounded mean but never exceed the defaulters
-        assert prev.departures <= round(dyn.mean_L)
-
-
-def test_fixed_links_mode(imitation_market):
-    sparse = replace(imitation_market, p_ss=0.6)
-    dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, b_n=0.8, b_s=0.8,
-                         n0=200, eps0=0.4, rounds=30)
-    cfg = Cfg(market=sparse, dynamics=dyn, fixed_links=True)
-    a = run_simulation(cfg, seed=4)
-    b = run_simulation(cfg, seed=4)
-    assert a.records == b.records
-    free = run_simulation(replace(cfg, fixed_links=False), seed=4)
-    assert free.records != a.records
-
-
-def test_agent_ids_stay_unique(imitation_market):
-    dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8,
-                         n0=100, eps0=0.4, rounds=50)
-    rng = np.random.default_rng(17)
-    state = initial_state(imitation_market, dyn, rng)
-    assert state.ids1.tolist() == list(range(state.n1))
-    for _ in range(50):
-        state, _ = step_round(state, imitation_market, dyn, rng)
-        ids = np.concatenate([state.ids1, state.ids2])
-        assert len(np.unique(ids)) == len(ids)
-        assert state.next_id > int(ids.max())
-    assert state.n1 == len(state.ids1) and state.n2 == len(state.ids2)
+def test_state_is_four_numbers(imitation_market):
+    # the graph is drawn afresh each round, so the state holds counts, not agents
+    assert [f.name for f in fields(PopulationState)] == ["round", "n1", "n2", "psi"]
+    dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, b_n=0.8, b_s=0.8, n0=100, eps0=0.4)
+    state = initial_state(imitation_market, dyn, np.random.default_rng(17))
+    assert state == PopulationState(round=0, n1=40, n2=60, psi=1.0)
 
 
 def test_estimate_limit_tail_mean():
@@ -146,7 +115,7 @@ def test_estimate_limit_tail_mean():
 
 
 def _reference_switches(r, n1, attempters, contacts, flips):
-    """Per-pair switching rule: (positions in ids2 to risk-free, positions in ids1 to risky)."""
+    """Per-pair switching rule: (risky positions to risk-free, risk-free positions to risky)."""
     to_g1, to_g2 = [], []
     for a, c, flip in zip(attempters, contacts, flips):
         a_risky = a >= n1
