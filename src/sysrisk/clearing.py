@@ -9,11 +9,15 @@ The map is monotone and piecewise linear; the clearing vector is its greatest
 fixed point.  On the complete graph all up-shocked agents stay interchangeable
 (likewise down-shocked), so there are two unknowns, solved exactly regime by
 regime (Eisenberg & Noe 2001), as is the same two-class problem of the
-large-network limit in `analytic`.  Sampled graphs iterate the map from full
-payment until no payment moves by more than 1e-10 * y; as only risky agents
-owe, each sweep multiplies by the risky-to-risky block alone, and risk-free
-claims are formed once from the final payments.  A borrower defaults when it
-pays less than y * (1 - 1e-9) (`_defaulted`).
+large-network limit in `analytic`.  `class_clearing` builds that two-class
+system from the class sizes alone and returns each class's payment and
+claims: the count-level Monte-Carlo round on the complete graph calls it
+directly, and `solve_clearing` spreads its answer over the agents.  Sampled
+graphs iterate the map from full payment until no payment moves by more than
+1e-10 * y; as only risky agents owe, each sweep multiplies by the
+risky-to-risky block alone, and risk-free claims are formed once from the
+final payments.  A borrower defaults when it pays less than y * (1 - 1e-9)
+(`defaulted`).  Both engines take surpluses from one helper, `surpluses`.
 """
 from __future__ import annotations
 
@@ -95,6 +99,40 @@ def two_class_clearing(b: tuple[float, float],
     return best[0], best[1], solves
 
 
+class ClassClearing(NamedTuple):
+    """Complete-graph clearing by shock class: what each class pays and receives."""
+
+    x_u: float           # payment of each up-shocked borrower
+    x_d: float           # payment of each down-shocked borrower
+    claims_safe: float   # received by each risk-free agent
+    claims_u: float      # received by each up-shocked borrower
+    claims_d: float      # received by each down-shocked borrower
+    solves: int          # linear systems solved
+
+
+def class_clearing(graph: LiabilityGraph, n_u: int, k_u: float, k_d: float,
+                   v: float) -> ClassClearing:
+    """Greatest clearing on the complete graph, from the size of the up class alone.
+
+    The n_u up-shocked and n2 - n_u down-shocked borrowers each pay as one
+    class, and every creditor receives the same share of every payment it is
+    owed, except its own.
+    """
+    y = graph.y
+    if y <= 0.0:  # nothing is owed
+        return ClassClearing(0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    sig2 = graph.w_g2 / y
+    n_d = graph.n2 - n_u
+    # an empty shock class is dropped: zero its row, and its column is zero already
+    row_u = (sig2 * (n_u - 1), sig2 * n_d) if n_u else (0.0, 0.0)
+    row_d = (sig2 * n_u, sig2 * (n_d - 1)) if n_d else (0.0, 0.0)
+    x_u, x_d, solves = two_class_clearing((k_u - v, k_d - v), (row_u, row_d), y)
+    total = n_u * x_u + n_d * x_d
+    return ClassClearing(x_u=x_u, x_d=x_d, claims_safe=graph.w_g1 / y * total,
+                         claims_u=sig2 * (total - x_u), claims_d=sig2 * (total - x_d),
+                         solves=solves)
+
+
 def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
                    params: MarketParams) -> ClearingResult:
     """Greatest clearing vector: exact on the complete graph, iterated on sampled ones."""
@@ -104,19 +142,12 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
     v = params.v
 
     if graph.indicator is None:
-        sig2 = graph.w_g2 / y
-        n_u = int(shocks.up.sum())
-        n_d = n2 - n_u
-        # an empty shock class is dropped: zero its row, and its column is zero already
-        row_u = (sig2 * (n_u - 1), sig2 * n_d) if n_u else (0.0, 0.0)
-        row_d = (sig2 * n_u, sig2 * (n_d - 1)) if n_d else (0.0, 0.0)
-        x_u, x_d, iterations = two_class_clearing((shocks.k_u - v, shocks.k_d - v),
-                                                  (row_u, row_d), y)
-        X = np.where(shocks.up, x_u, x_d)
-        total = n_u * x_u + n_d * x_d
+        cc = class_clearing(graph, int(shocks.up.sum()), shocks.k_u, shocks.k_d, v)
+        X = np.where(shocks.up, cc.x_u, cc.x_d)
         claims = np.empty(n)
-        claims[:n1] = graph.w_g1 / y * total
-        claims[n1:] = sig2 * (total - X)
+        claims[:n1] = cc.claims_safe
+        claims[n1:] = np.where(shocks.up, cc.claims_u, cc.claims_d)
+        iterations = cc.solves
     else:
         # B[j, i]: the share of borrower j's payment that risky agent i receives
         B = graph.indicator[:, n1:] * (graph.w_g2 / y)
@@ -135,20 +166,30 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
     return ClearingResult(X=X, iterations=iterations, claims=claims)
 
 
-def _defaulted(X: np.ndarray, y: float) -> np.ndarray:
+def defaulted(X, y: float):
+    """Whether each payment (a scalar or an array) falls short of y: a default."""
     return X < y * (1.0 - _DEFAULT_TOL)
+
+
+def surpluses(graph: LiabilityGraph, params: MarketParams, claims_safe, k, claims_risky):
+    """Risk-free and risky surpluses after clearing, clamped at limited liability.
+
+    A risk-free agent earns its endowment's return plus its claims, a risky one
+    its proceeds `k` plus its claims less its debt y; both pay v first.  Takes
+    one scalar per class or one array entry per agent.
+    """
+    v = params.v
+    return (np.maximum(params.w * graph.eps * (1 + params.r_s) + claims_safe - v, 0.0),
+            np.maximum(k + claims_risky - v - graph.y, 0.0))
 
 
 def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,
                     shocks: ShockVector, params: MarketParams) -> ReturnsVector:
     """Per-agent surpluses after clearing, clamped at limited liability."""
     n1 = graph.n1
-    r = np.empty(graph.n)
-    np.maximum(params.w * graph.eps * (1 + params.r_s) + clearing.claims[:n1] - params.v,
-               0.0, out=r[:n1])
-    np.maximum(shocks.k + clearing.claims[n1:] - params.v - graph.y, 0.0, out=r[n1:])
-    defaults = np.flatnonzero(_defaulted(clearing.X, graph.y))
-    return ReturnsVector(r=r, n1=n1, defaults=defaults)
+    r1, r2 = surpluses(graph, params, clearing.claims[:n1], shocks.k, clearing.claims[n1:])
+    defaults = np.flatnonzero(defaulted(clearing.X, graph.y))
+    return ReturnsVector(r=np.concatenate([r1, r2]), n1=n1, defaults=defaults)
 
 
 def default_stats(clearing: ClearingResult, y: float) -> DefaultStats:
@@ -156,5 +197,5 @@ def default_stats(clearing: ClearingResult, y: float) -> DefaultStats:
     n2 = len(clearing.X)
     if n2 == 0:
         return DefaultStats(count=0, fraction=0.0, degenerate=True)
-    count = int(_defaulted(clearing.X, y).sum())
+    count = int(defaulted(clearing.X, y).sum())
     return DefaultStats(count=count, fraction=count / n2)

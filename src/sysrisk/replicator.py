@@ -7,9 +7,22 @@ may leave (departures), and newcomers adopt the strategy of better-returning
 incumbents (arrivals).  All draws come from a single ``numpy`` Generator in a
 fixed order, so a run is fully determined by its seed.
 
-Switching and arrivals share one imitation rule (`_imitate`): a risk-free and a
-risky agent's returns are compared, ties go to the risk-free side, and an
-observation error (probability 1 - b_s, or 1 - b_n for entrants) flips it.
+Two rounds share that law.  On the complete graph (``p_ss = 1``) agents are
+interchangeable within three classes -- risk-free, up-shocked, down-shocked
+-- so the round's law depends on the class sizes alone (the chain is exactly
+lumpable; Kemeny & Snell, *Finite Markov Chains*, ch. 6).  `_count_round`
+draws it from a few scalar draws whatever the population size: the up class
+by a binomial, the attempters by class by a multivariate hypergeometric, and
+switches and arrivals by binomials, each thinned by the chance that a
+uniform contact is a mixed pair seen one way.  On sampled graphs
+(``p_ss < 1``) agents differ by their links, and `_agent_round` plays the
+round agent by agent; tests also run it on the complete graph as the oracle
+of `_count_round`.
+
+Switching and arrivals share one imitation rule (`_imitate`, and its
+class-level form `_seen_safe`): a risk-free and a risky agent's returns are
+compared, ties go to the risk-free side, and an observation error
+(probability 1 - b_s, or 1 - b_n for entrants) flips it.
 """
 from __future__ import annotations
 
@@ -18,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import ReturnsVector, compute_returns, solve_clearing
-from .model import DynamicsParams, MarketParams, ParamError, count_bound
+from .clearing import class_clearing, compute_returns, defaulted, solve_clearing, surpluses
+from .model import DynamicsParams, MarketParams, ParamError, count_bound, derive
 from .netgen import sample_network, sample_shocks
 from .records import RoundRecord, Trajectory
 
@@ -58,7 +71,9 @@ def initial_state(params: MarketParams, dyn: DynamicsParams,
     n0 = dyn.n0
     n1 = int(round(dyn.eps0 * n0))
     n2 = n0 - n1
-    # unused warm-up draws: they keep the seeded stream, and so every export, unchanged
+    # Unused warm-up draws.  They keep the seeded stream of every run, and on sampled
+    # graphs the arrays they free shape the heap the run grows into: without them, the
+    # p_ss = 0.1, n0 = 2000 benchmark workload (mc_sparse) peaked at 76.9 MB, not 67.4 MB.
     graph = sample_network(params, n1, n2, rng_stream)
     sample_shocks(params, n2, graph.eps, rng_stream)
     return PopulationState(round=0, n1=n1, n2=n2, psi=1.0)
@@ -69,6 +84,50 @@ def _draw_count(rng_stream: np.random.Generator, mean: float, bound: int) -> int
     if mean <= 0.0 or bound <= 0:
         return 0
     return int(rng_stream.binomial(bound, mean / bound))
+
+
+def _draw_counts(rng_stream: np.random.Generator, dyn: DynamicsParams,
+                 departures: bool) -> tuple[int, int, int]:
+    """The round's arrival, switch-attempt and departure-cap counts (N, S, L)."""
+    N_k = _draw_count(rng_stream, dyn.mean_N, dyn.bound_N)
+    S_k = _draw_count(rng_stream, dyn.mean_S, count_bound(dyn.mean_S))
+    L_k = 0
+    if departures and dyn.mean_L > 0.0:
+        L_k = _draw_count(rng_stream, dyn.mean_L, dyn.bound_L)
+    return N_k, S_k, L_k
+
+
+def _clip_departures(state: PopulationState, D: int, room: int) -> int:
+    """D departures, cut to `room` (at least 0) so that two agents stay alive."""
+    if D > room:
+        log.warning("round %d: clipping %d departures to %d to keep two agents alive",
+                    state.round, D, max(room, 0))
+        D = max(room, 0)
+    return D
+
+
+def _close_round(state: PopulationState, dyn: DynamicsParams, N_k: int, xi: int,
+                 Xi1: int, Xi2: int, D: int, default_frac: float,
+                 mean_r1: float | None, mean_r2: float | None
+                 ) -> tuple[PopulationState, RoundRecord]:
+    """Exact composition update and the round's record.
+
+    ``n1' = n1 + xi + Xi1 - Xi2`` and ``n' = n + N - D``.
+    """
+    n1, n = state.n1, state.n
+    new_n1 = n1 + xi + Xi1 - Xi2
+    new_n = n + N_k - D
+    new_n2 = new_n - new_n1
+    if new_n1 < 0 or new_n2 < 0:
+        raise RuntimeError(f"round {state.round}: negative group sizes {new_n1}, {new_n2}")
+
+    psi = new_n / (state.round + 1 + dyn.n0)
+    record = RoundRecord(
+        eps=state.eps, psi=state.psi, round=state.round, n=n, n1=n1,
+        default_frac=default_frac, xi=xi, Xi1=Xi1, Xi2=Xi2, departures=D,
+        mean_r1=mean_r1, mean_r2=mean_r2,
+    )
+    return PopulationState(round=state.round + 1, n1=new_n1, n2=new_n2, psi=psi), record
 
 
 def _pick_other(rng_stream: np.random.Generator, n: int, me: np.ndarray) -> np.ndarray:
@@ -90,29 +149,97 @@ def _imitate(r: np.ndarray, n1: int, i: np.ndarray, j: np.ndarray,
     return i_risky != (j >= n1), (r[safe] >= r[risky]) != flips
 
 
+def _seen_safe(r1: float, r_c: float, b: float) -> float:
+    """`_imitate` for a class: the chance a risk-free agent is seen ahead of return r_c."""
+    return b if r1 >= r_c else 1.0 - b
+
+
+def _thin(rng_stream: np.random.Generator, count: int, p: float) -> int:
+    """Binomial(count, p), drawn only when count > 0."""
+    return int(rng_stream.binomial(count, p)) if count > 0 else 0
+
+
 def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
                rng_stream: np.random.Generator, *, departures: bool = True
-               ) -> tuple[PopulationState, RoundRecord, ReturnsVector]:
-    """Play one round; return the successor state, its record and its returns.
+               ) -> tuple[PopulationState, RoundRecord]:
+    """Play one round; return the successor state and the round's record.
 
     The record describes the population that *played* the round (its eps, psi
     and size at the start) together with the flows the round produced.  Order
     of operations inside the round: draw the arrival/switch/departure counts,
-    sample the network and shocks, clear, compute returns, apply switching
-    (simultaneous, based on this round's returns), remove departing defaulted
-    risky agents, then add arrivals.  Group sizes update exactly:
-    ``n1' = n1 + xi + Xi1 - Xi2`` and ``n' = n + N - D``.
+    draw the shocks, clear, compute returns, apply switching (simultaneous,
+    based on this round's returns), remove departing defaulted risky agents
+    that did not just switch, then add arrivals.  The complete graph plays
+    `_count_round`, sampled graphs `_agent_round`.
+    """
+    if state.n < 2:
+        raise ParamError("population: need at least two agents per round")
+    play = _count_round if params.p_ss == 1.0 else _agent_round
+    return play(state, params, dyn, rng_stream, departures)
+
+
+def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
+                 rng_stream: np.random.Generator, departures: bool
+                 ) -> tuple[PopulationState, RoundRecord]:
+    """One complete-graph round from the class sizes alone, in O(1).
+
+    Risk-free agents earn r1; up- and down-shocked ones earn r_u and r_d and
+    default as a class.  A uniform contact of a risk-free attempter is risky
+    of class c with chance n_c/(n-1), one of a risky attempter risk-free with
+    chance n1/(n-1), so each class's switchers are a binomial thinning of its
+    attempters; an entrant's two distinct contacts make a mixed pair the same
+    way.
     """
     n1, n2 = state.n1, state.n2
     n = n1 + n2
-    if n < 2:
-        raise ParamError("population: need at least two agents per round")
+    N_k, S_k, L_k = _draw_counts(rng_stream, dyn, departures)
 
-    N_k = _draw_count(rng_stream, dyn.mean_N, dyn.bound_N)
-    S_k = _draw_count(rng_stream, dyn.mean_S, count_bound(dyn.mean_S))
-    L_k = 0
-    if departures and dyn.mean_L > 0.0:
-        L_k = _draw_count(rng_stream, dyn.mean_L, dyn.bound_L)
+    graph = sample_network(params, n1, n2, rng_stream)  # the edge weights; no draw here
+    der = derive(params, graph.eps)
+    n_u = _thin(rng_stream, n2, params.delta)
+    n_d = n2 - n_u
+    cc = class_clearing(graph, n_u, der.k_u, der.k_d, params.v)
+    r1, (r_u, r_d) = surpluses(graph, params, cc.claims_safe, np.array([der.k_u, der.k_d]),
+                               np.array([cc.claims_u, cc.claims_d]))
+    down_u, down_d = defaulted(cc.x_u, graph.y), defaulted(cc.x_d, graph.y)
+
+    # -- switching: a risk-free attempter moves when its contact is risky and seen
+    # behind, a risky one when its contact is risk-free and seen ahead.  The
+    # attempters by class are multivariate hypergeometric, drawn class by class.
+    S_eff = min(S_k, n)
+    Xi2 = Xi1_u = Xi1_d = 0
+    if S_eff > 0:
+        a1 = int(rng_stream.hypergeometric(n1, n2, S_eff))
+        a_u = int(rng_stream.hypergeometric(n_u, n_d, S_eff - a1))
+        s_u, s_d = _seen_safe(r1, r_u, dyn.b_s), _seen_safe(r1, r_d, dyn.b_s)
+        Xi2 = _thin(rng_stream, a1, (n_u * (1.0 - s_u) + n_d * (1.0 - s_d)) / (n - 1))
+        Xi1_u = _thin(rng_stream, a_u, n1 * s_u / (n - 1))
+        Xi1_d = _thin(rng_stream, S_eff - a1 - a_u, n1 * s_d / (n - 1))
+
+    # -- departures: defaulted risky agents that did not just switch away.
+    D = 0
+    if L_k > 0:
+        candidates = (n_u - Xi1_u) * down_u + (n_d - Xi1_d) * down_d
+        D = _clip_departures(state, min(L_k, candidates), n + N_k - 2)
+
+    # -- arrivals: both contacts risk-free, or a mixed pair seen risk-free ahead.
+    t_u, t_d = _seen_safe(r1, r_u, dyn.b_n), _seen_safe(r1, r_d, dyn.b_n)
+    xi = _thin(rng_stream, N_k,
+               (n1 * (n1 - 1) + 2 * n1 * (n_u * t_u + n_d * t_d)) / (n * (n - 1)))
+
+    return _close_round(state, dyn, N_k, xi, Xi1_u + Xi1_d, Xi2, D,
+                        (n_u * down_u + n_d * down_d) / n,
+                        float(r1) if n1 else None,
+                        float(n_u * r_u + n_d * r_d) / n2 if n2 else None)
+
+
+def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
+                 rng_stream: np.random.Generator, departures: bool
+                 ) -> tuple[PopulationState, RoundRecord]:
+    """One round agent by agent, on a freshly sampled network."""
+    n1, n2 = state.n1, state.n2
+    n = n1 + n2
+    N_k, S_k, L_k = _draw_counts(rng_stream, dyn, departures)
 
     graph = sample_network(params, n1, n2, rng_stream)
     shocks = sample_shocks(params, n2, graph.eps, rng_stream)
@@ -140,14 +267,10 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
         stayed = np.ones(n2, dtype=bool)
         stayed[to_g1] = False
         candidates = returns.defaults[stayed[returns.defaults]]
-        D = min(L_k, int(candidates.size))
-        room = n + N_k - 2
-        if D > room:
-            log.warning("round %d: clipping %d departures to %d to keep two agents alive",
-                        state.round, D, max(room, 0))
-            D = max(room, 0)
+        D = _clip_departures(state, min(L_k, int(candidates.size)), n + N_k - 2)
         if D > 0:
-            # unused draw of who leaves: it keeps the seeded stream and every export unchanged
+            # An unused draw of who leaves.  It keeps the seeded stream of sampled-graph
+            # runs: without it every later draw moves, and fixed-seed exports change.
             rng_stream.choice(candidates, size=D, replace=False)
 
     # -- arrivals: each entrant asks two distinct incumbents from this round;
@@ -160,22 +283,9 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
         mixed, safe_ahead = _imitate(returns.r, n1, first, second, a_flips)
         xi = int(np.where(mixed, safe_ahead, first < n1).sum())
 
-    # -- exact composition update.
-    new_n1 = n1 + xi + Xi1 - Xi2
-    new_n = n + N_k - D
-    new_n2 = new_n - new_n1
-    if new_n1 < 0 or new_n2 < 0:
-        raise RuntimeError(f"round {state.round}: negative group sizes {new_n1}, {new_n2}")
-
-    psi = new_n / (state.round + 1 + dyn.n0)
-    record = RoundRecord(
-        eps=state.eps, psi=state.psi, round=state.round, n=n, n1=n1,
-        default_frac=returns.defaults.size / n, xi=xi, Xi1=Xi1, Xi2=Xi2, departures=D,
-        mean_r1=float(returns.r1.mean()) if n1 else None,
-        mean_r2=float(returns.r2.mean()) if n2 else None,
-    )
-    new_state = PopulationState(round=state.round + 1, n1=new_n1, n2=new_n2, psi=psi)
-    return new_state, record, returns
+    return _close_round(state, dyn, N_k, xi, Xi1, Xi2, D, returns.defaults.size / n,
+                        float(returns.r1.mean()) if n1 else None,
+                        float(returns.r2.mean()) if n2 else None)
 
 
 def run_simulation(config, seed: int) -> Trajectory:
@@ -191,12 +301,7 @@ def run_simulation(config, seed: int) -> Trajectory:
     state = initial_state(params, dyn, rng)
     records: list[RoundRecord] = []
     for _ in range(dyn.rounds):
-        # `returns` stays bound until the next round has made its own arrays.  Released
-        # at once, they let glibc trim the heap after every round, and the next round
-        # faults its arrays in afresh: 416 k minor page faults per 1000 rounds at
-        # n0 = 50 000, against 116 k.
-        state, rec, returns = step_round(state, params, dyn, rng,
-                                         departures=config.departures)
+        state, rec = step_round(state, params, dyn, rng, departures=config.departures)
         records.append(rec)
     return Trajectory(records=records, seed=seed, kind="mc", label=config.label)
 
