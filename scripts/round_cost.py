@@ -2,15 +2,20 @@
 """Time one Monte-Carlo round of the slow table-4 cell at several population sizes.
 
 The cell is table 4's first row (imitation market, b_n = b_s = 0.4,
-eps0 = 0.4, mean_L = 1.75, departures on) on the complete graph, started at
-each n0 in `SIZES`.  For every n0 the script plays a few untimed rounds,
-then times `replicator.step_round` over `ROUNDS` rounds three times, and
-prints the median microseconds per round.
+eps0 = 0.4, mean_L = 1.75, departures on).  On the complete graph it is
+started at each n0 in `SIZES`: the script plays a few untimed rounds, then
+times `replicator.step_round` over `ROUNDS` rounds three times, and prints
+the median microseconds per round.  On a sampled graph (p_ss =
+`SAMPLED_P`) it is started at each n0 in `SAMPLED_SIZES`, each in a fresh
+process, timed the same way over `SAMPLED_ROUNDS` rounds; the script prints
+the median milliseconds per round and the process's peak resident memory.
 
     python3 scripts/round_cost.py
 """
 from __future__ import annotations
 
+import multiprocessing
+import resource
 import statistics
 import sys
 import time
@@ -24,32 +29,53 @@ from sysrisk.replicator import initial_state, step_round
 SIZES = (500, 50_000, 1_000_000)
 ROUNDS = 2000
 WARMUP_ROUNDS = 50
+SAMPLED_SIZES = (2000, 8000)
+SAMPLED_P = 0.1
+SAMPLED_ROUNDS = 10
+SAMPLED_WARMUP_ROUNDS = 2
 TIMINGS = 3
 
 
-def round_cost(config, n0: int) -> tuple[float, int]:
+def round_cost(config, n0: int, rounds: int = ROUNDS,
+               warmup: int = WARMUP_ROUNDS) -> tuple[float, int]:
     """Median microseconds per round over `TIMINGS` timings, and the final population."""
     dyn = replace(config.dynamics, n0=n0)
     rng = np.random.default_rng(0)
     state = initial_state(config.market, dyn, rng)
-    for _ in range(WARMUP_ROUNDS):
+    for _ in range(warmup):
         state, _ = step_round(state, config.market, dyn, rng, departures=config.departures)
     timings = []
     for _ in range(TIMINGS):
         start = time.perf_counter()
-        for _ in range(ROUNDS):
+        for _ in range(rounds):
             state, _ = step_round(state, config.market, dyn, rng,
                                   departures=config.departures)
-        timings.append((time.perf_counter() - start) / ROUNDS * 1e6)
+        timings.append((time.perf_counter() - start) / rounds * 1e6)
     return statistics.median(timings), state.n
+
+
+def sampled_round_cost(n0: int) -> tuple[float, int, float]:
+    """`round_cost` in milliseconds on the sampled graph, plus this process's peak RSS in MB."""
+    config = table4_spec().rows[0].config
+    config = replace(config, market=replace(config.market, p_ss=SAMPLED_P))
+    cost, n_end = round_cost(config, n0, SAMPLED_ROUNDS, SAMPLED_WARMUP_ROUNDS)
+    return cost / 1e3, n_end, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main() -> int:
     config = table4_spec().rows[0].config
-    print(f"{'n0':>9}  {'n at end':>9}  {'us/round':>9}")
+    print(f"complete graph\n{'n0':>9}  {'n at end':>9}  {'us/round':>9}")
     for n0 in SIZES:
         cost, n_end = round_cost(config, n0)
         print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}")
+    print(f"\nsampled graph, p_ss = {SAMPLED_P}\n"
+          f"{'n0':>9}  {'n at end':>9}  {'ms/round':>9}  {'peak MB':>9}")
+    # one fresh process per size, so that each peak is the row's own
+    ctx = multiprocessing.get_context("spawn")
+    for n0 in SAMPLED_SIZES:
+        with ctx.Pool(1) as pool:
+            cost, n_end, peak = pool.apply(sampled_round_cost, (n0,))
+        print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}  {peak:>9.1f}")
     return 0
 
 

@@ -14,10 +14,11 @@ system from the class sizes alone and returns each class's payment and
 claims: the count-level Monte-Carlo round on the complete graph calls it
 directly, and `solve_clearing` spreads its answer over the agents.  Sampled
 graphs iterate the map from full payment until no payment moves by more than
-1e-10 * y; as only risky agents owe, each sweep multiplies by the
-risky-to-risky block alone, and risk-free claims are formed once from the
-final payments.  A borrower defaults when it pays less than y * (1 - 1e-9)
-(`defaulted`).  Both engines take surpluses from one helper, `surpluses`.
+1e-10 * y; as only risky agents owe, each sweep sums the payments over the
+peer edges alone (one `np.bincount` over the edge list), and risk-free
+claims are summed once over the risk-free edges from the final payments.  A
+borrower defaults when it pays less than y * (1 - 1e-9) (`defaulted`).  Both
+engines take surpluses from one helper, `surpluses`.
 """
 from __future__ import annotations
 
@@ -141,7 +142,7 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
         return ClearingResult(X=np.zeros(n2), iterations=0, claims=np.zeros(n))
     v = params.v
 
-    if graph.indicator is None:
+    if graph.peers is None:
         cc = class_clearing(graph, int(shocks.up.sum()), shocks.k_u, shocks.k_d, v)
         X = np.where(shocks.up, cc.x_u, cc.x_d)
         claims = np.empty(n)
@@ -149,19 +150,23 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
         claims[n1:] = np.where(shocks.up, cc.claims_u, cc.claims_d)
         iterations = cc.solves
     else:
-        # B[j, i]: the share of borrower j's payment that risky agent i receives
-        B = graph.indicator[:, n1:] * (graph.w_g2 / y)
+        peers, safe = graph.peers, graph.safe
+        sig2 = graph.w_g2 / y  # the share of a payment that each linked peer receives
+        # the edges are sorted by borrower, so repeating each payment by its borrower's
+        # out-degree lays it along the edges, more cheaply than the gather X[peers.borrower]
+        out_degree = np.bincount(peers.borrower, minlength=n2)
         X = np.full(n2, y)
         for iterations in range(1, _SPARSE_CAP + 1):
-            owed_in = X @ B
+            owed_in = sig2 * np.bincount(peers.creditor, weights=np.repeat(X, out_degree),
+                                         minlength=n2)
             new = np.clip(shocks.k + owed_in - v, 0.0, y)
             if np.abs(new - X).max() <= _SPARSE_TOL * y:
                 break  # keep X: its residual is the one just measured
             X = new
         else:
             raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} sweeps")
-        del B  # the product below casts its own float block; holding both raises peak memory
-        claims = np.concatenate([graph.w_g1 / y * (X @ graph.indicator[:, :n1]), owed_in])
+        safe_in = np.bincount(safe.creditor, weights=X[safe.borrower], minlength=n1)
+        claims = np.concatenate([graph.w_g1 / y * safe_in, owed_in])
 
     return ClearingResult(X=X, iterations=iterations, claims=claims)
 

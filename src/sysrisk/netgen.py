@@ -1,30 +1,52 @@
 """Random liability networks and per-round shock draws.
 
 A round's network has two groups: risk-free lenders (indices 0..n1-1) and
-risky borrowers (indices n1..n-1).  Each round draws a fresh network, in
-which every ordered (creditor, borrower) pair is linked independently with
-probability p_ss; no link carries over to the next round.  A linked edge
-carries one of exactly two weights -- one for risk-free creditors, one for
-risky peers -- scaled so that a borrower's total liability concentrates on y
-(principal plus borrowing interest) as n grows.
+risky borrowers (indices n1..n-1).  Only borrowers owe.  Each round draws a
+fresh network, in which every ordered (borrower, creditor) pair of distinct
+agents is linked independently with probability p_ss; no link carries over
+to the next round.  A linked edge carries one of exactly two weights -- one
+for risk-free creditors, one for risky peers -- scaled so that a borrower's
+total liability concentrates on y (principal plus borrowing interest) as n
+grows.
+
+The complete graph (p_ss = 1) is described by its weights alone.  A sampled
+graph keeps its links as two edge lists, borrower to risky peer and borrower
+to risk-free creditor.  Each is drawn by geometric skipping (Batagelj &
+Brandes, Phys. Rev. E 71, 036113, 2005): read row by row, the gaps between
+the linked cells of a block are i.i.d. Geometric(p_ss), so a draw costs time
+in proportion to the links, not to the n2 x n pairs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import MarketParams, ParamError, derive
 
 
+class Edges(NamedTuple):
+    """Linked pairs as two `intp` arrays, sorted by borrower (then creditor).
+
+    `borrower` holds local borrower indices (global n1 + j); `creditor` holds
+    local risky indices in the peer list and risk-free indices in the other.
+    """
+
+    borrower: np.ndarray
+    creditor: np.ndarray
+
+
 @dataclass(frozen=True)
 class LiabilityGraph:
-    """Round network; `indicator` is None for the complete (p_ss = 1) graph.
+    """Round network: the edge weights, and the links of a sampled graph.
 
-    `indicator[j, i]` says whether borrower j (local index, global n1 + j)
-    owes creditor i (global index); the self column is always False.  Edge
-    weights depend only on the creditor's group: `w_g1` toward risk-free
-    creditors, `w_g2` toward risky peers.
+    Edge weights depend only on the creditor's group: `w_g1` toward
+    risk-free creditors, `w_g2` toward risky peers.  On the complete graph
+    both edge lists are None; on a sampled one `peers` holds the
+    borrower-to-risky-peer links (never a self-link) and `safe` the
+    borrower-to-risk-free links.
     """
 
     n1: int
@@ -33,11 +55,26 @@ class LiabilityGraph:
     eps: float
     w_g1: float
     w_g2: float
-    indicator: np.ndarray | None = None
+    peers: Edges | None = None
+    safe: Edges | None = None
 
     @property
     def n(self) -> int:
         return self.n1 + self.n2
+
+    @property
+    def indicator(self) -> np.ndarray | None:
+        """Dense (n2, n) view of a sampled graph's links, None on the complete graph.
+
+        Entry [j, i] says whether borrower j (local) owes agent i (global).
+        Built afresh on every access; the engine never reads it.
+        """
+        if self.peers is None:
+            return None
+        out = np.zeros((self.n2, self.n), dtype=bool)
+        out[self.safe.borrower, self.safe.creditor] = True
+        out[self.peers.borrower, self.n1 + self.peers.creditor] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -48,6 +85,46 @@ class ShockVector:
     up: np.ndarray
     k_u: float
     k_d: float
+
+
+def _chunk_size(size: int, p: float) -> int:
+    """Gaps drawn at a time: the block's mean link count plus 8 sd and 16."""
+    return int(size * p + 8.0 * math.sqrt(size * p * (1.0 - p)) + 16)
+
+
+def _linked_cells(rng_stream: np.random.Generator, rows: int, cols: int,
+                  p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every linked cell of a rows x cols block, in row-major order.
+
+    Each cell is linked independently with probability p < 1.  The gaps
+    between linked positions are floor(E / -log1p(-p)) + 1 with E standard
+    exponential, which is exactly Geometric(p); they are drawn in chunks
+    large enough that one chunk nearly always passes the block's end.
+    """
+    size = rows * cols
+    if size == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    rate = -math.log1p(-p)
+    chunk = _chunk_size(size, p)
+    pieces, last = [], -1
+    while True:
+        steps = rng_stream.standard_exponential(chunk)
+        steps /= rate
+        np.minimum(steps, size, out=steps)  # any gap past the end will do; keeps intp safe
+        pos = steps.astype(np.intp)
+        del steps
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += last
+        cut = int(np.searchsorted(pos, size))
+        pieces.append(pos[:cut])
+        if cut < chunk:
+            break
+        last = int(pos[-1])
+    pos = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    row = pos // cols
+    pos -= row * cols
+    return row, pos
 
 
 def sample_network(params: MarketParams, n1: int, n2: int,
@@ -68,13 +145,16 @@ def sample_network(params: MarketParams, n1: int, n2: int,
     # the shortfall is O(1/n2) on the claims, which overwhelms the thin return
     # margins that drive imitation in moderate populations.
     w_g2 = w_g2 * n2 / (n2 - 1) if n2 >= 2 else 0.0
+    if params.p_ss == 1.0:
+        return LiabilityGraph(n1=n1, n2=n2, y=der.y, eps=eps, w_g1=w_g1, w_g2=w_g2)
 
-    indicator = None
-    if params.p_ss < 1.0:
-        indicator = rng_stream.random((n2, n)) < params.p_ss
-        indicator[np.arange(n2), n1 + np.arange(n2)] = False
-    return LiabilityGraph(n1=n1, n2=n2, y=der.y, eps=eps,
-                          w_g1=w_g1, w_g2=w_g2, indicator=indicator)
+    # peer column c of borrower j is peer c + (c >= j): the diagonal is never drawn
+    borrower, col = _linked_cells(rng_stream, n2, n2 - 1, params.p_ss)
+    col += col >= borrower
+    peers = Edges(borrower, col)
+    safe = Edges(*_linked_cells(rng_stream, n2, n1, params.p_ss))
+    return LiabilityGraph(n1=n1, n2=n2, y=der.y, eps=eps, w_g1=w_g1, w_g2=w_g2,
+                          peers=peers, safe=safe)
 
 
 def sample_shocks(params: MarketParams, n2: int, eps: float,

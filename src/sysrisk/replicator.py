@@ -71,11 +71,9 @@ def initial_state(params: MarketParams, dyn: DynamicsParams,
     n0 = dyn.n0
     n1 = int(round(dyn.eps0 * n0))
     n2 = n0 - n1
-    # Unused warm-up draws.  They keep the seeded stream of every run, and on sampled
-    # graphs the arrays they free shape the heap the run grows into: without them, the
-    # p_ss = 0.1, n0 = 2000 benchmark workload (mc_sparse) peaked at 76.9 MB, not 67.4 MB.
-    graph = sample_network(params, n1, n2, rng_stream)
-    sample_shocks(params, n2, graph.eps, rng_stream)
+    # An unused warm-up draw of shocks: it advances the stream by n2 uniforms, so
+    # removing it would move every seeded run of the complete graph.
+    sample_shocks(params, n2, n1 / n0, rng_stream)
     return PopulationState(round=0, n1=n1, n2=n2, psi=1.0)
 
 
@@ -269,8 +267,9 @@ def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
         candidates = returns.defaults[stayed[returns.defaults]]
         D = _clip_departures(state, min(L_k, int(candidates.size)), n + N_k - 2)
         if D > 0:
-            # An unused draw of who leaves.  It keeps the seeded stream of sampled-graph
-            # runs: without it every later draw moves, and fixed-seed exports change.
+            # An unused draw of who leaves; only the count D matters.  It keeps the stream
+            # of this round on the complete graph, where the one-round law test of
+            # `_count_round` runs it at fixed seeds: without it every later draw moves.
             rng_stream.choice(candidates, size=D, replace=False)
 
     # -- arrivals: each entrant asks two distinct incumbents from this round;

@@ -11,7 +11,7 @@ from sysrisk import MarketParams
 from sysrisk.analytic import clearing_limit
 from sysrisk.clearing import compute_returns, default_stats, solve_clearing
 from sysrisk.model import ParamError, derive
-from sysrisk.netgen import LiabilityGraph, ShockVector, sample_network, sample_shocks
+from sysrisk.netgen import Edges, LiabilityGraph, ShockVector, sample_network, sample_shocks
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +32,21 @@ def _shocks(k):
 
 def _peer_shares(g):
     """Dense (n2, n2) matrix: entry [i, j] is borrower j's payment share to borrower i."""
-    if g.indicator is None:
+    if g.peers is None:
         A = np.ones((g.n2, g.n2)) - np.eye(g.n2)
     else:
-        A = g.indicator[:, g.n1:].T.astype(float)
+        A = np.zeros((g.n2, g.n2))
+        A[g.peers.creditor, g.peers.borrower] = 1.0
     return A * (g.w_g2 / g.y)
+
+
+def _full_edges(n1, n2):
+    """Edge lists linking every borrower to every risk-free agent and every other borrower."""
+    borrower, creditor = np.divmod(np.arange(n2 * n2), n2)
+    keep = borrower != creditor
+    peers = Edges(borrower[keep], creditor[keep])
+    borrower, creditor = np.divmod(np.arange(n2 * n1), max(n1, 1))
+    return peers, Edges(borrower, creditor)
 
 
 def _residual(g, s, params, X):
@@ -74,15 +84,13 @@ def test_partial_payment_fixed_point(zero_v_market):
     assert stats.fraction == pytest.approx(2 / 3)
 
 
-def test_indicator_path_matches_two_scalar(zero_v_market):
-    # a dense indicator over the same weights must reproduce the collapsed
-    # complete-graph arithmetic exactly
+def test_edge_list_path_matches_two_scalar(zero_v_market):
+    # edge lists holding every pair but the self pairs, over the same weights, must
+    # reproduce the collapsed complete-graph arithmetic
     n1, n2, y = 2, 4, 10.0
-    n = n1 + n2
-    indicator = np.ones((n2, n), dtype=bool)
-    indicator[np.arange(n2), n1 + np.arange(n2)] = False
+    peers, safe = _full_edges(n1, n2)
     dense = LiabilityGraph(n1=n1, n2=n2, y=y, eps=0.25, w_g1=1.5, w_g2=2.0,
-                           indicator=indicator)
+                           peers=peers, safe=safe)
     collapsed = LiabilityGraph(n1=n1, n2=n2, y=y, eps=0.25, w_g1=1.5, w_g2=2.0)
     up = np.array([True, True, False, False])
     s = ShockVector(k=np.where(up, 9.0, 2.5), up=up, k_u=9.0, k_d=2.5)
@@ -99,6 +107,26 @@ def test_indicator_path_matches_two_scalar(zero_v_market):
     assert_allclose(ra.r1, rb.r1, rtol=1e-9)
     assert_allclose(ra.r2, rb.r2, rtol=1e-9)
     assert ra.defaults.tolist() == rb.defaults.tolist()
+
+
+def test_sampled_graph_clears_its_own_map():
+    # a sampled round at n = 300: the solved payments are a fixed point of the dense
+    # clearing map built here from the edge lists, and the claims are its products
+    market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
+                          u=0.13, d=-0.6, r_s=0.1, r_b=0.11, p_ss=0.3)
+    rng = np.random.default_rng(21)
+    n, n1 = 300, 105
+    g = sample_network(market, n1, n - n1, rng)
+    s = sample_shocks(market, n - n1, g.eps, rng)
+    res = solve_clearing(g, s, market)
+    assert res.iterations >= 2
+    assert _residual(g, s, market, res.X) <= 2e-10
+    safe_shares = np.zeros((n1, n - n1))
+    safe_shares[g.safe.creditor, g.safe.borrower] = g.w_g1 / g.y
+    assert_allclose(res.claims, np.concatenate([safe_shares @ res.X, _peer_shares(g) @ res.X]),
+                    rtol=1e-12, atol=1e-12 * g.y)
+    # the round is far from the all-pay corner: some borrowers default
+    assert 0 < compute_returns(g, res, s, market).defaults.size < n - n1
 
 
 def test_one_sided_shock_classes(zero_v_market):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from sysrisk import MarketParams, ParamError
+from sysrisk import MarketParams, ParamError, netgen
 from sysrisk.netgen import sample_network, sample_shocks
 
 
@@ -20,7 +20,7 @@ def market():
 
 def test_complete_graph_weights(market):
     g = sample_network(market, 3, 5, np.random.default_rng(0))
-    assert g.indicator is None
+    assert g.peers is None and g.safe is None and g.indicator is None
     assert g.n == 8 and g.eps == 3 / 8
     # risk-free edge weight w (1 + r_b) / n
     assert g.w_g1 == pytest.approx(70 * 1.11 / 8)
@@ -41,13 +41,71 @@ def test_sparse_shares_concentrate(market):
     sparse = replace(market, p_ss=0.5)
     n = 2000
     n1 = n // 4
-    g = sample_network(sparse, n1, n - n1, np.random.default_rng(5))
-    assert g.indicator is not None
-    weight_row = np.where(np.arange(n) < n1, g.w_g1, g.w_g2)
-    shares = (g.indicator * weight_row).sum(axis=1) / g.y
-    assert float(shares.mean()) == pytest.approx(1.0, abs=0.02)
-    # self columns are never linked
-    assert not g.indicator[np.arange(n - n1), n1 + np.arange(n - n1)].any()
+    n2 = n - n1
+    g = sample_network(sparse, n1, n2, np.random.default_rng(5))
+    assert g.peers is not None and g.safe is not None
+    owed = (g.w_g1 * np.bincount(g.safe.borrower, minlength=n2)
+            + g.w_g2 * np.bincount(g.peers.borrower, minlength=n2))
+    assert float((owed / g.y).mean()) == pytest.approx(1.0, abs=0.02)
+    # no borrower ever owes itself
+    assert not (g.peers.borrower == g.peers.creditor).any()
+
+
+# (n1, n2, p): a dense draw, a thin one, no risk-free agents, and a lone borrower
+LAW_CASES = ((500, 1500, 0.5), (800, 1200, 0.01), (0, 50, 0.3), (10, 1, 0.3))
+LAW_SEEDS = (0, 1, 2)
+LAW_SD = 4.5  # fixed before any draw was looked at: a false alarm per count of ~7e-6
+
+
+def _check_edges(edges, n2, n_creditors):
+    borrower, creditor = edges
+    assert borrower.dtype == creditor.dtype == np.intp
+    assert borrower.size == creditor.size
+    if borrower.size:
+        assert borrower.min() >= 0 and borrower.max() < n2
+        assert creditor.min() >= 0 and creditor.max() < n_creditors
+    # sorted by borrower, then creditor: so no pair repeats
+    key = borrower * max(n_creditors, 1) + creditor
+    assert (np.diff(borrower) >= 0).all() and (np.diff(key) > 0).all()
+
+
+@pytest.mark.parametrize("n1, n2, p", LAW_CASES)
+def test_sampled_links_follow_bernoulli_law(market, n1, n2, p):
+    sparse = replace(market, p_ss=p)
+    for seed in LAW_SEEDS:
+        g = sample_network(sparse, n1, n2, np.random.default_rng(seed))
+        _check_edges(g.peers, n2, n2)
+        _check_edges(g.safe, n2, n1)
+        assert not (g.peers.borrower == g.peers.creditor).any()
+        for edges, cells in ((g.peers, n2 * (n2 - 1)), (g.safe, n2 * n1)):
+            mean, sd = cells * p, (cells * p * (1 - p)) ** 0.5
+            assert abs(edges.borrower.size - mean) <= LAW_SD * sd, (seed, cells)
+
+
+def test_each_pair_links_with_probability_p(market):
+    # over many draws of a tiny graph, every off-diagonal cell of the dense view
+    # is linked a share p of the time, and the diagonal never
+    n1, n2, p, draws = 3, 4, 0.3, 4000
+    sparse = replace(market, p_ss=p)
+    rng = np.random.default_rng(9)
+    freq = sum(sample_network(sparse, n1, n2, rng).indicator.astype(int)
+               for _ in range(draws)) / draws
+    self_cells = (np.arange(n2), n1 + np.arange(n2))
+    assert not freq[self_cells].any()
+    off = np.ones_like(freq, dtype=bool)
+    off[self_cells] = False
+    assert np.abs(freq[off] - p).max() <= LAW_SD * (p * (1 - p) / draws) ** 0.5
+
+
+def test_chunked_gaps_link_the_same_cells(monkeypatch):
+    # one exponential stream feeds the gaps, so drawing them seven at a time must
+    # link exactly the cells that one chunk past the block's end links
+    whole = netgen._linked_cells(np.random.default_rng(4), 30, 29, 0.2)
+    monkeypatch.setattr(netgen, "_chunk_size", lambda size, p: 7)
+    pieces = netgen._linked_cells(np.random.default_rng(4), 30, 29, 0.2)
+    assert whole[0].size > 7 * 10
+    for a, b in zip(whole, pieces):
+        assert_array_equal(a, b)
 
 
 def test_single_borrower_has_no_peer_edges(market):
@@ -61,7 +119,11 @@ def test_sampling_is_reproducible(market):
     sparse = replace(market, p_ss=0.3)
     a = sample_network(sparse, 10, 20, np.random.default_rng(42))
     b = sample_network(sparse, 10, 20, np.random.default_rng(42))
-    assert_array_equal(a.indicator, b.indicator)
+    for edges_a, edges_b in ((a.peers, b.peers), (a.safe, b.safe)):
+        assert_array_equal(edges_a.borrower, edges_b.borrower)
+        assert_array_equal(edges_a.creditor, edges_b.creditor)
+    c = sample_network(sparse, 10, 20, np.random.default_rng(43))
+    assert not np.array_equal(a.indicator, c.indicator)
 
 
 def test_tiny_networks_rejected(market):
