@@ -12,17 +12,18 @@ thresholds of the risk-free fraction:
 
 Parameters with v <= w(1+d) are fully covered by the closed forms.  For larger
 v the limit payments solve x_i = clip(k_i - v + c_eps * x_bar, 0, y) per shock
-class i, with x_bar = delta * x_u + (1 - delta) * x_d; this two-class fixed
-point is solved exactly, regime by regime, by the kernel the finite complete
-graph uses (`clearing.two_class_clearing`), and the results are flagged
-`outside_theory`.
+class i, with x_bar = delta * x_u + (1 - delta) * x_d.  That makes x_bar the
+greatest fixed point of one monotone, piecewise-linear scalar map, solved
+exactly by the kernel the finite complete graph uses
+(`clearing.class_fixed_point`); a class defaults by the finite network's rule
+(`clearing.defaulted`), and the results are flagged `outside_theory`.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-from .clearing import two_class_clearing
+from .clearing import class_fixed_point, defaulted
 from .model import DerivedQuantities, DynamicsParams, MarketParams, SolverError, derive
 
 
@@ -70,16 +71,14 @@ def _interior_limit(params: MarketParams, der: DerivedQuantities) -> ClearingLim
         return ClearingLimit(der.expW / (1 - c), 1.0, DefaultRegime.ALL_DEFAULT)
 
     # senior debt exceeds the down-move proceeds: no closed form, solve the
-    # two-class fixed point x_i = clip(k_i - v + c * x_bar, 0, y) exactly
-    row = (c * delta, c * (1 - delta))
-    x_u, x_d, _ = two_class_clearing((der.k_u - params.v, der.k_d - params.v),
-                                     (row, row), der.y)
-    x = delta * x_u + (1 - delta) * x_d
-    up_def, dn_def = (x_i < der.y - 1e-12 * max(der.y, 1.0) for x_i in (x_u, x_d))
+    # fixed point x_bar = sum_i P(i) * clip(k_i - v + c * x_bar, 0, y) exactly
+    x_bar = class_fixed_point((delta, 1 - delta), (der.w_high, der.w_low), c, der.y)
+    # a class defaults when its unclipped payment falls short, as its clipped one then does
+    up_def, dn_def = (defaulted(b + c * x_bar, der.y) for b in (der.w_high, der.w_low))
     p_d = delta * up_def + (1 - delta) * dn_def
     regime = (DefaultRegime.NO_DEFAULT if p_d == 0.0 else
               DefaultRegime.ALL_DEFAULT if up_def else DefaultRegime.SHOCK_DEFAULT)
-    return ClearingLimit(x, p_d, regime, outside_theory=True)
+    return ClearingLimit(x_bar, p_d, regime, outside_theory=True)
 
 
 def clearing_limit(params: MarketParams, eps: float) -> ClearingLimit:

@@ -6,23 +6,21 @@ shock draw and on what it receives from other borrowers, giving the fixed point
     X_i = min( (K_i + claims_i(X) - v)+ , y ),   claims_i = sum_j X_j L_ji / y.
 
 The map is monotone and piecewise linear; the clearing vector is its greatest
-fixed point.  On the complete graph all up-shocked agents stay interchangeable
-(likewise down-shocked), so there are two unknowns, solved exactly regime by
-regime (Eisenberg & Noe 2001), as is the same two-class problem of the
-large-network limit in `analytic`.  `class_clearing` builds that two-class
-system from the class sizes alone and returns each class's payment and
-claims: the count-level Monte-Carlo round on the complete graph calls it
-directly, and `solve_clearing` spreads its answer over the agents.  Sampled
-graphs iterate the map from full payment until no payment moves by more than
-1e-10 * y; as only risky agents owe, each sweep sums the payments over the
-peer edges alone (one `np.bincount` over the edge list), and risk-free
-claims are summed once over the risk-free edges from the final payments.  A
-borrower defaults when it pays less than y * (1 - 1e-9) (`defaulted`).  Both
-engines take surpluses from one helper, `surpluses`.
+fixed point (Eisenberg & Noe 2001).  On the complete graph all up-shocked
+agents stay interchangeable (likewise down-shocked) and see the same total
+payment T, so each class pays a closed form of T, and T is the greatest fixed
+point of one scalar piecewise-linear map (`class_fixed_point`, shared with the
+large-network limit in `analytic`).  `class_clearing` sets it up from the
+class sizes; the count-level Monte-Carlo round calls it directly, and
+`solve_clearing` spreads its answer over the agents.  Sampled graphs iterate
+the map from full payment until no payment moves by more than 1e-10 * y; as
+only risky agents owe, each sweep sums the payments over the peer edges alone
+(one `np.bincount` over the edge list), and risk-free claims are summed once
+over the risk-free edges from the final payments.  A borrower defaults when it
+pays less than y * (1 - 1e-9) (`defaulted`); surpluses come from `surpluses`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +29,7 @@ import numpy as np
 from .model import MarketParams, SolverError
 from .netgen import LiabilityGraph, ShockVector
 
-_SLACK = 1e-12         # residual tolerance relative to y; also the singular-system cutoff
+_SLACK = 1e-12         # residual tolerance relative to y per unit weight; also the slope-1 cutoff
 _SPARSE_TOL = 1e-10    # sparse sweeps stop once no payment moves more, relative to y
 _SPARSE_CAP = 100_000  # sparse sweeps allowed before giving up
 _DEFAULT_TOL = 1e-9    # a borrower paying short of y by more than this share defaults
@@ -40,7 +38,7 @@ _DEFAULT_TOL = 1e-9    # a borrower paying short of y by more than this share de
 @dataclass(frozen=True)
 class ClearingResult:
     X: np.ndarray        # (n2,) payments, each in [0, y]
-    iterations: int      # linear systems solved (complete graph) or sweeps (sampled)
+    iterations: int      # sweeps on a sampled graph; 1 on the complete graph (one exact solve)
     claims: np.ndarray   # (n,) received amounts per agent
 
 
@@ -67,37 +65,39 @@ class DefaultStats(NamedTuple):
     degenerate: bool = False
 
 
-def two_class_clearing(b: tuple[float, float],
-                       m: tuple[tuple[float, float], tuple[float, float]],
-                       y: float) -> tuple[float, float, int]:
-    """Greatest (x_u, x_d) in [0, y]^2 with x_i = clip(b_i + sum_j m_ij x_j, 0, y).
+def class_fixed_point(weights: tuple[float, ...], offsets: tuple[float, ...],
+                      slope: float, y: float) -> float:
+    """Greatest T with T = sum_c w_c * clip(a_c + slope * T, 0, y), for w_c, slope >= 0.
 
-    `m` is non-negative, so the map is monotone and has a greatest fixed point.
-    Each class pays 0, y, or the part that solves its row of x = b + m x; the
-    nine regime assignments are solved by Cramer's rule, and the greatest
-    solution the map reproduces to within 1e-12 * y is returned with the count
-    of systems solved.  Raises SolverError if no solution passes that check.
+    The map is monotone and piecewise linear, with kinks where a class starts
+    or stops paying part of y.  Its pieces are scanned from T = y * sum_c w_c
+    down; a piece offers its own fixed point, clipped to it, or its top if its
+    slope is 1 (then all of it is fixed or none is).  The first offer the map
+    reproduces to within 1e-12 * y per unit weight is returned, else SolverError.
     """
-    (m_uu, m_ud), (m_du, m_dd), (b_u, b_d) = *m, b
-    slack, best, solves = _SLACK * y, None, 0
-    # each class's equation (a . x = r) when it pays 0, part, or y
-    eqs_u = ((1.0, 0.0, 0.0), (1.0 - m_uu, -m_ud, b_u), (1.0, 0.0, y))
-    eqs_d = ((0.0, 1.0, 0.0), (-m_du, 1.0 - m_dd, b_d), (0.0, 1.0, y))
-    for (a_uu, a_ud, r_u), (a_du, a_dd, r_d) in itertools.product(eqs_u, eqs_d):
-        det = a_uu * a_dd - a_ud * a_du
-        if abs(det) <= _SLACK:  # singular (c = 1 at eps = 0): no solution or a
-            continue            # line of them, whose ends other regimes reach
-        solves += 1
-        x_u = min(max((r_u * a_dd - a_ud * r_d) / det, 0.0), y)
-        x_d = min(max((a_uu * r_d - a_du * r_u) / det, 0.0), y)
-        if (abs(min(max(b_u + m_uu * x_u + m_ud * x_d, 0.0), y) - x_u) <= slack
-                and abs(min(max(b_d + m_du * x_u + m_dd * x_d, 0.0), y) - x_d) <= slack
-                and (best is None or x_u + x_d > best[0] + best[1])):
-            best = (x_u, x_d)
-    if best is None:
-        raise SolverError(f"two-class clearing: no regime passes the residual check "
-                          f"(b={b}, m={m}, y={y})")
-    return best[0], best[1], solves
+    top = y * sum(weights)
+
+    def line(t: float) -> tuple[float, float]:  # the map at t, and its slope around t
+        value = gain = 0.0
+        for w, a in zip(weights, offsets):
+            pay = a + slope * t
+            if pay >= y:
+                value += w * y
+            elif not pay <= 0.0:  # part of y; so is a NaN, which then fails the check
+                value, gain = value + w * pay, gain + w * slope
+        return value, gain
+
+    kinks = (t for a in offsets for t in (-a / slope, (y - a) / slope)) if slope > 0.0 else ()
+    knots = [top, *sorted((t for t in kinks if 0.0 < t < top), reverse=True), 0.0]
+    for hi, lo in zip(knots, knots[1:]):
+        mid = 0.5 * (lo + hi)
+        value, gain = line(mid)
+        level = value - gain * mid  # the piece is the line level + gain * T
+        t = hi if abs(1.0 - gain) <= _SLACK else min(max(level / (1.0 - gain), lo), hi)
+        if abs(line(t)[0] - t) <= _SLACK * top:
+            return t
+    raise SolverError(f"class clearing: no piece passes the residual check "
+                      f"(weights={weights}, offsets={offsets}, slope={slope}, y={y})")
 
 
 class ClassClearing(NamedTuple):
@@ -108,30 +108,25 @@ class ClassClearing(NamedTuple):
     claims_safe: float   # received by each risk-free agent
     claims_u: float      # received by each up-shocked borrower
     claims_d: float      # received by each down-shocked borrower
-    solves: int          # linear systems solved
 
 
-def class_clearing(graph: LiabilityGraph, n_u: int, k_u: float, k_d: float,
-                   v: float) -> ClassClearing:
-    """Greatest clearing on the complete graph, from the size of the up class alone.
+def class_clearing(y: float, w_g1: float, w_g2: float, n_u: int, n_d: int,
+                   b_u: float, b_d: float) -> ClassClearing:
+    """Greatest clearing on the complete graph, from the two class sizes alone.
 
-    The n_u up-shocked and n2 - n_u down-shocked borrowers each pay as one
-    class, and every creditor receives the same share of every payment it is
-    owed, except its own.
+    The n_u up- and n_d down-shocked borrowers (net proceeds b_c = k_c - v) pay
+    as two classes; each creditor gets the share w/y of every payment it is
+    owed but its own.  Out of a total payment T, a class-c borrower pays
+    x_c = clip(b_c + sig2 * (T - x_c), 0, y) = clip((b_c + sig2 * T) / (1 + sig2), 0, y).
     """
-    y = graph.y
-    if y <= 0.0:  # nothing is owed
-        return ClassClearing(0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    sig2 = graph.w_g2 / y
-    n_d = graph.n2 - n_u
-    # an empty shock class is dropped: zero its row, and its column is zero already
-    row_u = (sig2 * (n_u - 1), sig2 * n_d) if n_u else (0.0, 0.0)
-    row_d = (sig2 * n_u, sig2 * (n_d - 1)) if n_d else (0.0, 0.0)
-    x_u, x_d, solves = two_class_clearing((k_u - v, k_d - v), (row_u, row_d), y)
+    sig2 = w_g2 / y
+    slope = sig2 / (1.0 + sig2)
+    a_u, a_d = b_u / (1.0 + sig2), b_d / (1.0 + sig2)
+    t = class_fixed_point((n_u, n_d), (a_u, a_d), slope, y)
+    x_u, x_d = min(max(a_u + slope * t, 0.0), y), min(max(a_d + slope * t, 0.0), y)
     total = n_u * x_u + n_d * x_d
-    return ClassClearing(x_u=x_u, x_d=x_d, claims_safe=graph.w_g1 / y * total,
-                         claims_u=sig2 * (total - x_u), claims_d=sig2 * (total - x_d),
-                         solves=solves)
+    return ClassClearing(x_u=x_u, x_d=x_d, claims_safe=w_g1 / y * total,
+                         claims_u=sig2 * (total - x_u), claims_d=sig2 * (total - x_d))
 
 
 def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
@@ -143,12 +138,13 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
     v = params.v
 
     if graph.peers is None:
-        cc = class_clearing(graph, int(shocks.up.sum()), shocks.k_u, shocks.k_d, v)
+        n_u = int(shocks.up.sum())
+        cc = class_clearing(y, graph.w_g1, graph.w_g2, n_u, n2 - n_u,
+                            shocks.k_u - v, shocks.k_d - v)
         X = np.where(shocks.up, cc.x_u, cc.x_d)
-        claims = np.empty(n)
-        claims[:n1] = cc.claims_safe
-        claims[n1:] = np.where(shocks.up, cc.claims_u, cc.claims_d)
-        iterations = cc.solves
+        safe_in = np.full(n1, cc.claims_safe)
+        owed_in = np.where(shocks.up, cc.claims_u, cc.claims_d)
+        iterations = 1
     else:
         peers, safe = graph.peers, graph.safe
         sig2 = graph.w_g2 / y  # the share of a payment that each linked peer receives
@@ -165,10 +161,9 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
             X = new
         else:
             raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} sweeps")
-        safe_in = np.bincount(safe.creditor, weights=X[safe.borrower], minlength=n1)
-        claims = np.concatenate([graph.w_g1 / y * safe_in, owed_in])
-
-    return ClearingResult(X=X, iterations=iterations, claims=claims)
+        safe_in = graph.w_g1 / y * np.bincount(safe.creditor, weights=X[safe.borrower],
+                                               minlength=n1)
+    return ClearingResult(X=X, iterations=iterations, claims=np.concatenate([safe_in, owed_in]))
 
 
 def defaulted(X, y: float):
@@ -176,23 +171,24 @@ def defaulted(X, y: float):
     return X < y * (1.0 - _DEFAULT_TOL)
 
 
-def surpluses(graph: LiabilityGraph, params: MarketParams, claims_safe, k, claims_risky):
+def surpluses(params: MarketParams, eps: float, y: float, claims_safe, k, claims_risky):
     """Risk-free and risky surpluses after clearing, clamped at limited liability.
 
     A risk-free agent earns its endowment's return plus its claims, a risky one
     its proceeds `k` plus its claims less its debt y; both pay v first.  Takes
-    one scalar per class or one array entry per agent.
+    one scalar per class or one array entry per agent, at risk-free share eps.
     """
     v = params.v
-    return (np.maximum(params.w * graph.eps * (1 + params.r_s) + claims_safe - v, 0.0),
-            np.maximum(k + claims_risky - v - graph.y, 0.0))
+    return (np.maximum(params.w * eps * (1 + params.r_s) + claims_safe - v, 0.0),
+            np.maximum(k + claims_risky - v - y, 0.0))
 
 
 def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,
                     shocks: ShockVector, params: MarketParams) -> ReturnsVector:
     """Per-agent surpluses after clearing, clamped at limited liability."""
     n1 = graph.n1
-    r1, r2 = surpluses(graph, params, clearing.claims[:n1], shocks.k, clearing.claims[n1:])
+    r1, r2 = surpluses(params, graph.eps, graph.y, clearing.claims[:n1], shocks.k,
+                       clearing.claims[n1:])
     defaults = np.flatnonzero(defaulted(clearing.X, graph.y))
     return ReturnsVector(r=np.concatenate([r1, r2]), n1=n1, defaults=defaults)
 

@@ -127,33 +127,39 @@ def _linked_cells(rng_stream: np.random.Generator, rows: int, cols: int,
     return row, pos
 
 
-def sample_network(params: MarketParams, n1: int, n2: int,
-                   rng_stream: np.random.Generator) -> LiabilityGraph:
-    """Draw one round's liability network, independently of every other round."""
-    if n1 < 0 or n2 < 0 or n1 + n2 < 2:
-        raise ParamError("n1/n2: need at least two agents, neither group negative")
+def edge_weights(params: MarketParams, n1: int, n2: int) -> tuple[float, float]:
+    """The weights (w_g1, w_g2) of a linked edge toward a risk-free and a risky creditor."""
     n = n1 + n2
-    eps = n1 / n
-    der = derive(params, eps)
     scale = (1 + params.r_b) / (n * params.p_ss)
     w_g1 = params.w * scale
-    if n2 == 0:
-        return LiabilityGraph(n1=n1, n2=0, y=der.y, eps=eps, w_g1=w_g1, w_g2=0.0)
+    if n2 < 2:  # no borrower has a peer
+        return w_g1, 0.0
+    eps = n1 / n
     w_g2 = params.alpha * params.w * (1 + eps) * scale / ((1 - params.alpha) * (1 - eps))
     # Spread the peer obligation over the n2-1 actual peers (no self-edges), so
     # a borrower's expected shares sum to exactly 1 at finite n.  Without this
     # the shortfall is O(1/n2) on the claims, which overwhelms the thin return
     # margins that drive imitation in moderate populations.
-    w_g2 = w_g2 * n2 / (n2 - 1) if n2 >= 2 else 0.0
-    if params.p_ss == 1.0:
-        return LiabilityGraph(n1=n1, n2=n2, y=der.y, eps=eps, w_g1=w_g1, w_g2=w_g2)
+    return w_g1, w_g2 * n2 / (n2 - 1)
+
+
+def sample_network(params: MarketParams, n1: int, n2: int,
+                   rng_stream: np.random.Generator) -> LiabilityGraph:
+    """Draw one round's liability network, independently of every other round."""
+    if n1 < 0 or n2 < 0 or n1 + n2 < 2:
+        raise ParamError("n1/n2: need at least two agents, neither group negative")
+    eps = n1 / (n1 + n2)
+    y = derive(params, eps).y
+    w_g1, w_g2 = edge_weights(params, n1, n2)
+    if params.p_ss == 1.0 or n2 == 0:
+        return LiabilityGraph(n1=n1, n2=n2, y=y, eps=eps, w_g1=w_g1, w_g2=w_g2)
 
     # peer column c of borrower j is peer c + (c >= j): the diagonal is never drawn
     borrower, col = _linked_cells(rng_stream, n2, n2 - 1, params.p_ss)
     col += col >= borrower
     peers = Edges(borrower, col)
     safe = Edges(*_linked_cells(rng_stream, n2, n1, params.p_ss))
-    return LiabilityGraph(n1=n1, n2=n2, y=der.y, eps=eps, w_g1=w_g1, w_g2=w_g2,
+    return LiabilityGraph(n1=n1, n2=n2, y=y, eps=eps, w_g1=w_g1, w_g2=w_g2,
                           peers=peers, safe=safe)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .clearing import class_clearing, compute_returns, defaulted, solve_clearing, surpluses
 from .model import DynamicsParams, MarketParams, ParamError, count_bound, derive
-from .netgen import sample_network, sample_shocks
+from .netgen import edge_weights, sample_network, sample_shocks
 from .records import RoundRecord, Trajectory
 
 log = logging.getLogger(__name__)
@@ -179,7 +179,7 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
 def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
                  rng_stream: np.random.Generator, departures: bool
                  ) -> tuple[PopulationState, RoundRecord]:
-    """One complete-graph round from the class sizes alone, in O(1).
+    """One complete-graph round from the class sizes alone, in O(1): one scalar pass.
 
     Risk-free agents earn r1; up- and down-shocked ones earn r_u and r_d and
     default as a class.  A uniform contact of a risk-free attempter is risky
@@ -192,14 +192,13 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
     n = n1 + n2
     N_k, S_k, L_k = _draw_counts(rng_stream, dyn, departures)
 
-    graph = sample_network(params, n1, n2, rng_stream)  # the edge weights; no draw here
-    der = derive(params, graph.eps)
+    der = derive(params, n1 / n)
     n_u = _thin(rng_stream, n2, params.delta)
     n_d = n2 - n_u
-    cc = class_clearing(graph, n_u, der.k_u, der.k_d, params.v)
-    r1, (r_u, r_d) = surpluses(graph, params, cc.claims_safe, np.array([der.k_u, der.k_d]),
-                               np.array([cc.claims_u, cc.claims_d]))
-    down_u, down_d = defaulted(cc.x_u, graph.y), defaulted(cc.x_d, graph.y)
+    cc = class_clearing(der.y, *edge_weights(params, n1, n2), n_u, n_d, der.w_high, der.w_low)
+    r1, r_u = surpluses(params, der.eps, der.y, cc.claims_safe, der.k_u, cc.claims_u)
+    r_d = surpluses(params, der.eps, der.y, cc.claims_safe, der.k_d, cc.claims_d)[1]
+    down_u, down_d = defaulted(cc.x_u, der.y), defaulted(cc.x_d, der.y)
 
     # -- switching: a risk-free attempter moves when its contact is risky and seen
     # behind, a risky one when its contact is risk-free and seen ahead.  The

@@ -4,14 +4,27 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from sysrisk import MarketParams
 from sysrisk.analytic import clearing_limit
-from sysrisk.clearing import compute_returns, default_stats, solve_clearing
-from sysrisk.model import ParamError, derive
-from sysrisk.netgen import Edges, LiabilityGraph, ShockVector, sample_network, sample_shocks
+from sysrisk.clearing import (
+    class_clearing,
+    class_fixed_point,
+    compute_returns,
+    default_stats,
+    solve_clearing,
+)
+from sysrisk.model import ParamError, SolverError, derive
+from sysrisk.netgen import (
+    Edges,
+    LiabilityGraph,
+    ShockVector,
+    edge_weights,
+    sample_network,
+    sample_shocks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +224,104 @@ def _oracle_greatest(g, s, params):
         if ok and (best is None or x.sum() > best.sum()):
             best = np.clip(x, 0.0, y)
     return best
+
+
+def _nine_regime_oracle(b, m, y):
+    """Greatest (x_u, x_d) in [0, y]^2 with x_i = clip(b_i + sum_j m_ij x_j, 0, y).
+
+    `m` is non-negative, so the map is monotone and has a greatest fixed point.
+    Each class pays 0, y, or the part that solves its row of x = b + m x; the
+    nine regime assignments are solved by Cramer's rule, and the greatest
+    solution the map reproduces to within 1e-12 * y is returned with the count
+    of systems solved.  Raises SolverError if no solution passes that check.
+    Shares no code with the scalar kernel under test.
+    """
+    (m_uu, m_ud), (m_du, m_dd), (b_u, b_d) = *m, b
+    slack, best, solves = 1e-12 * y, None, 0
+    # each class's equation (a . x = r) when it pays 0, part, or y
+    eqs_u = ((1.0, 0.0, 0.0), (1.0 - m_uu, -m_ud, b_u), (1.0, 0.0, y))
+    eqs_d = ((0.0, 1.0, 0.0), (-m_du, 1.0 - m_dd, b_d), (0.0, 1.0, y))
+    for (a_uu, a_ud, r_u), (a_du, a_dd, r_d) in itertools.product(eqs_u, eqs_d):
+        det = a_uu * a_dd - a_ud * a_du
+        if abs(det) <= 1e-12:  # singular (c = 1 at eps = 0): no solution or a
+            continue           # line of them, whose ends other regimes reach
+        solves += 1
+        x_u = min(max((r_u * a_dd - a_ud * r_d) / det, 0.0), y)
+        x_d = min(max((a_uu * r_d - a_du * r_u) / det, 0.0), y)
+        if (abs(min(max(b_u + m_uu * x_u + m_ud * x_d, 0.0), y) - x_u) <= slack
+                and abs(min(max(b_d + m_du * x_u + m_dd * x_d, 0.0), y) - x_d) <= slack
+                and (best is None or x_u + x_d > best[0] + best[1])):
+            best = (x_u, x_d)
+    if best is None:
+        raise SolverError(f"two-class clearing: no regime passes the residual check "
+                          f"(b={b}, m={m}, y={y})")
+    return best[0], best[1], solves
+
+
+def _check_against_regimes(y, w_g2, n_u, n_d, b_u, b_d):
+    """class_clearing against the nine-regime oracle, for every class that has members."""
+    cc = class_clearing(y, 1.0, w_g2, n_u, n_d, b_u, b_d)
+    sig2 = w_g2 / y
+    # an empty shock class is dropped: zero its row, and its column is zero already
+    row_u = (sig2 * (n_u - 1), sig2 * n_d) if n_u else (0.0, 0.0)
+    row_d = (sig2 * n_u, sig2 * (n_d - 1)) if n_d else (0.0, 0.0)
+    ref = _nine_regime_oracle((b_u, b_d), (row_u, row_d), y)
+    for n_c, x, x_ref, b, (m_u, m_d) in ((n_u, cc.x_u, ref[0], b_u, row_u),
+                                         (n_d, cc.x_d, ref[1], b_d, row_d)):
+        if n_c:
+            assert abs(x - x_ref) <= 1e-9 * y
+            assert abs(min(max(b + m_u * cc.x_u + m_d * cc.x_d, 0.0), y) - x) <= 1e-12 * y
+    return cc
+
+
+@settings(max_examples=400, deadline=None)
+@given(n2=st.one_of(st.integers(1, 12), st.integers(13, 10**6)), up=st.floats(0.0, 1.0),
+       c=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), y=st.floats(0.1, 2000.0),
+       b_u=st.floats(-2.0, 2.0), b_d=st.floats(-2.0, 2.0))
+@example(n2=5, up=0.0, c=0.7, y=10.0, b_u=0.5, b_d=-0.3)        # the up class is empty
+@example(n2=5, up=1.0, c=0.7, y=10.0, b_u=0.5, b_d=-0.3)        # the down class is empty
+@example(n2=500, up=0.8, c=1.0, y=10.0, b_u=0.01, b_d=-0.04)    # slope * sum(w) == 1
+@example(n2=10**6, up=0.8, c=0.999, y=1476.3, b_u=0.006, b_d=-0.03)
+def test_class_clearing_matches_nine_regimes(n2, up, c, y, b_u, b_d):
+    # shares of y: b_c is a net proceed, c the row sum of the peer map (c = 1 at eps = 0)
+    n_u = round(up * n2)
+    w_g2 = c / (n2 - 1) * y if n2 >= 2 else 0.0
+    _check_against_regimes(y, w_g2, n_u, n2 - n_u, b_u * y, b_d * y)
+
+
+SYSTEMIC = MarketParams(w=70.0, v=70.0, alpha=0.95, delta=0.8,
+                        u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
+
+
+@pytest.mark.parametrize("n_u, x_u_share", [(380, 0.02563221115852695),
+                                             (400, 0.03075865339023233)])
+def test_frozen_systemic_states(n_u, x_u_share):
+    # eps = 0 (c = 1) with 500 borrowers, as the frozen systemic runs play it: the
+    # both-partial piece has slope 1 and no fixed point, and the greatest clearing
+    # has the up class paying a small part of y and the down class nothing
+    n2 = 500
+    der = derive(SYSTEMIC, 0.0)
+    w_g2 = edge_weights(SYSTEMIC, 0, n2)[1]
+    assert der.c_eps == 1.0
+    cc = _check_against_regimes(der.y, w_g2, n_u, n2 - n_u, der.w_high, der.w_low)
+    assert cc.x_d == 0.0
+    assert cc.x_u == pytest.approx(x_u_share * der.y, rel=1e-12)
+
+
+def test_slope_one_pieces():
+    # slope * sum(w) = 0.25 * 4 = 1 exactly.  With both offsets 0, every T in [0, 40]
+    # is fixed, all on one piece of slope 1, and the greatest fixed point is its top
+    assert class_fixed_point((3, 1), (0.0, 0.0), 0.25, 10.0) == 40.0
+    # offsets 1 and -4: where both classes pay part of y (16 < T < 36) the map is
+    # T - 1, so that piece has no fixed point; the greatest lies below it, where
+    # only the up class pays: T = 3 * (1 + T / 4) gives T = 12
+    assert class_fixed_point((3, 1), (1.0, -4.0), 0.25, 10.0) == pytest.approx(12.0, abs=1e-12)
+
+
+def test_class_fixed_point_raises_when_nothing_passes():
+    # a NaN offset: no candidate can pass the residual check, so none is returned
+    with pytest.raises(SolverError):
+        class_fixed_point((1.0, 1.0), (float("nan"), 0.5), 0.5, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

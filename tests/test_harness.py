@@ -140,18 +140,18 @@ def test_trajectory_csv_schema():
 # SHA-256 of each shipped config's seed-0 trajectory export over its first 200 rounds.
 # They pin the seeded Monte-Carlo stream: a change that moves any draw changes them and
 # must restate them.  All five configs run on the complete graph, whose clearing solves
-# two scalar unknowns; sparse clearing goes through BLAS matrix products, whose rounding
-# may differ between machines, so no sparse run is pinned.  Restated when complete-graph
+# one scalar fixed point; no sparse run is pinned.  Restated when complete-graph
 # rounds moved from per-agent draws to the count-level round (`replicator._count_round`),
-# which draws the same law from other numbers.
+# which draws the same law from other numbers, and again when the two-class clearing
+# became a scalar fixed point, which moves the mean returns in their last bits.
 STREAM_PINS = {
     "departures_high_accuracy.txt":
-        "36f879caa9f0e90a039c83696d5d16786ddb404e75de08d34cd89ebf45e3a46d",
-    "growth_pure_safe.txt": "13d9e7c80ea6ec2cb31e184a886097b774cbe821411cf6c5a632cdcc77374d47",
-    "systemic_adaptive.txt": "7d109ad494a08db852dbccbfe6c8880becd187e6c93bf04aa813e64da8369c63",
+        "1e1c49b7ba0b624101deb9fa9f7cb33c8cca9ed72a6465e6de45931d0ad1ea92",
+    "growth_pure_safe.txt": "1d4c273d30f62af2f87103bd18f4879425d46e346f56f95f1a4f838a59279c09",
+    "systemic_adaptive.txt": "63b3cce796f74adff4ef637ca3e5e8ed5d1768208c79e711b5dc9247160ec7ff",
     "systemic_frozen.txt": "1148ef5c466aa8eda0bb7734fa4cc56a929d6f29699f41ecaf782f46b8ef6841",
     "trajectory_mid_start.txt":
-        "5a01282efa485cf8e27976d035c2c0b617ab647d38b9146b37df96e35855b7a7",
+        "590965b01c435f320a4907f65d678239fca0f986fb9e2c10c2973d2fe73c43e0",
 }
 
 
