@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Time the theory layer's hot calls, one line per call family.
+
+- `flow_curve` for each of the three figure configs, from round 250 to
+  4 000 every 10 rounds, started at the config's eps0 with psi = 1:
+  milliseconds per curve;
+- `finite_round_estimate` on the growth market from eps0 = 0.85 for
+  k = 100..999 rounds (the criterion-7 walker): microseconds per call;
+- the 1 001-point limit grid (`clearing_limit`, `limit_returns` and
+  `q_eps` at eps = i/1000) per market: milliseconds per grid;
+- `assert_horizon` over every table 2, 3 and 4 row: milliseconds in all.
+
+Each figure is the median of `TIMINGS` timings.
+
+    python3 scripts/theory_cost.py
+"""
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+from dataclasses import replace
+
+from sysrisk import DynamicsParams, MarketParams
+from sysrisk.analytic import clearing_limit, limit_returns, q_eps
+from sysrisk.harness import (assert_horizon, figure_configs, flow_curve, table2_spec,
+                             table3_spec, table4_spec)
+from sysrisk.odeflow import finite_round_estimate
+
+TIMINGS = 5
+FIRST_ROUND = 250
+GRID = tuple(i / 1000 for i in range(1001))
+IMITATION = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
+                         u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
+GROWTH = MarketParams(w=70.0, v=20.0, alpha=0.95, delta=0.85,
+                      u=0.15, d=-0.6, r_s=0.1, r_b=0.11)
+MARKETS = {"imitation": IMITATION, "growth": GROWTH,
+           "growth_low": replace(GROWTH, delta=0.45),
+           "systemic": replace(IMITATION, v=70.0)}
+WALKER_DYN = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.9, b_s=0.9, n0=300, rounds=1000)
+WALKER_ROUNDS = range(100, 1000)
+
+
+def median_seconds(fn) -> float:
+    timings = []
+    for _ in range(TIMINGS):
+        start = time.perf_counter()
+        fn()
+        timings.append(time.perf_counter() - start)
+    return statistics.median(timings)
+
+
+def main() -> int:
+    print(f"{'call':<40} {'median':>10}")
+    for config in figure_configs():
+        dyn = config.dynamics
+        cost = median_seconds(lambda: flow_curve(config, dyn.eps0, 1.0, FIRST_ROUND, dyn.rounds))
+        print(f"{'flow_curve ' + config.label:<40} {cost * 1e3:>7.2f} ms")
+
+    cost = median_seconds(lambda: [finite_round_estimate(GROWTH, WALKER_DYN, 0.85, 0, k)
+                                   for k in WALKER_ROUNDS])
+    print(f"{'finite_round_estimate':<40} {cost / len(WALKER_ROUNDS) * 1e6:>7.1f} us")
+
+    for name, market in MARKETS.items():
+        cost = median_seconds(lambda: [(clearing_limit(market, eps), limit_returns(market, eps),
+                                        q_eps(market, eps)) for eps in GRID])
+        print(f"{'limit grid ' + name:<40} {cost * 1e3:>7.2f} ms")
+
+    rows = [row.config for spec in (table2_spec(), table3_spec(), table4_spec())
+            for row in spec.rows]
+    cost = median_seconds(lambda: [assert_horizon(config) for config in rows])
+    print(f"{f'assert_horizon, {len(rows)} table rows':<40} {cost * 1e3:>7.2f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,22 +59,35 @@ class Thresholds:
     outside_theory: bool = False
 
 
-def _interior_limit(params: MarketParams, der: DerivedQuantities) -> ClearingLimit:
-    """The limit formulas at der.eps, applied at eps = 1 too (bisections need that)."""
+def _x_bar(params: MarketParams, der: DerivedQuantities) -> tuple[float, DefaultRegime | None]:
+    """Limit clearing value at der.eps, with its regime where a closed form holds.
+
+    Applies at eps = 1 too (bisections need that).  The regime is None when
+    senior debt exceeds the down-move proceeds: x_bar is then the exactly
+    solved fixed point and the caller reads the regime off it.
+    """
     c, delta = der.c_eps, params.delta
     if der.w_low >= 0:  # down-move proceeds cover senior debt: closed forms hold
         if c >= der.a1:
-            return ClearingLimit(der.y, 0.0, DefaultRegime.NO_DEFAULT)
+            return der.y, DefaultRegime.NO_DEFAULT
         if c >= der.a2:
-            x = (delta * der.y + (1 - delta) * der.w_low) / (1 - (1 - delta) * c)
-            return ClearingLimit(x, 1 - delta, DefaultRegime.SHOCK_DEFAULT)
-        return ClearingLimit(der.expW / (1 - c), 1.0, DefaultRegime.ALL_DEFAULT)
+            return ((delta * der.y + (1 - delta) * der.w_low) / (1 - (1 - delta) * c),
+                    DefaultRegime.SHOCK_DEFAULT)
+        return der.expW / (1 - c), DefaultRegime.ALL_DEFAULT
+    # no closed form: solve x_bar = sum_i P(i) * clip(k_i - v + c * x_bar, 0, y) exactly
+    return class_fixed_point((delta, 1 - delta), (der.w_high, der.w_low), c, der.y), None
 
-    # senior debt exceeds the down-move proceeds: no closed form, solve the
-    # fixed point x_bar = sum_i P(i) * clip(k_i - v + c * x_bar, 0, y) exactly
-    x_bar = class_fixed_point((delta, 1 - delta), (der.w_high, der.w_low), c, der.y)
+
+def _interior_limit(params: MarketParams, der: DerivedQuantities) -> ClearingLimit:
+    """The limit formulas at der.eps, applied at eps = 1 too (bisections need that)."""
+    x_bar, regime = _x_bar(params, der)
+    delta = params.delta
+    if regime is not None:
+        p_d = (0.0 if regime is DefaultRegime.NO_DEFAULT else
+               1 - delta if regime is DefaultRegime.SHOCK_DEFAULT else 1.0)
+        return ClearingLimit(x_bar, p_d, regime)
     # a class defaults when its unclipped payment falls short, as its clipped one then does
-    up_def, dn_def = (defaulted(b + c * x_bar, der.y) for b in (der.w_high, der.w_low))
+    up_def, dn_def = (defaulted(b + der.c_eps * x_bar, der.y) for b in (der.w_high, der.w_low))
     p_d = delta * up_def + (1 - delta) * dn_def
     regime = (DefaultRegime.NO_DEFAULT if p_d == 0.0 else
               DefaultRegime.ALL_DEFAULT if up_def else DefaultRegime.SHOCK_DEFAULT)
@@ -92,7 +105,7 @@ def clearing_limit(params: MarketParams, eps: float) -> ClearingLimit:
 
 def _interior_returns(params: MarketParams, der: DerivedQuantities) -> LimitReturns:
     """The return formulas at der.eps, applied at eps = 1 too (bisections need that)."""
-    x = _interior_limit(params, der).x_bar
+    x, _ = _x_bar(params, der)
     eps = der.eps
     claims_1 = (1 - params.alpha) * (1 - eps) / (params.alpha + eps) * x
     r1 = max(params.w * eps * (1 + params.r_s) + claims_1 - params.v, 0.0)

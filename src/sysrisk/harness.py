@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .analytic import drift_rates, thresholds
 from .model import DynamicsParams, MarketParams, ParamError
-from .odeflow import (_clock_terms, classify_attractors, ode_solution_departures,
-                      round_clock)
+from .odeflow import (_clock_sums, _clock_terms, _flow_legs, _state_at, classify_attractors,
+                      ode_solution_departures, round_clock)
 from .records import RoundRecord, Trajectory
 from .replicator import estimate_limit, run_simulation
 
@@ -256,16 +256,21 @@ def assert_horizon(config: ExperimentConfig) -> int:
     limit at the preset horizon keep it.  A slow cell that is not gets its
     horizon doubled, at most `_MAX_DOUBLINGS` times, until the flow itself
     has settled to within `_SETTLE_TOL`; comparing the simulation against the
-    limit any earlier would test patience, not correctness.
+    limit any earlier would test patience, not correctness.  One flow
+    itinerary and one growing clock-terms list serve every doubling; each
+    probe equals `theory_at_horizon` at its horizon bit for bit.
     """
     target = asymptotic_limit(config)
-    rounds = config.dynamics.rounds
-    if abs(theory_at_horizon(config) - target) <= _ROW_TOL:
+    dyn = flow_dynamics(config)
+    legs = _flow_legs(config.market, dyn, dyn.eps0, 1.0, dyn.mean_L)
+    rounds = dyn.rounds
+    terms = _clock_terms(dyn.n0, rounds)
+    if abs(_state_at(legs, math.fsum(terms))[0] - target) <= _ROW_TOL:
         return rounds
     for _ in range(_MAX_DOUBLINGS):
+        terms += _clock_terms(dyn.n0 + rounds, rounds)  # rounds+1..2*rounds
         rounds *= 2
-        probe = replace(config, dynamics=replace(config.dynamics, rounds=rounds))
-        if abs(theory_at_horizon(probe) - target) <= _SETTLE_TOL:
+        if abs(_state_at(legs, math.fsum(terms))[0] - target) <= _SETTLE_TOL:
             return rounds
     log.warning("flow still %g away from %g at %d rounds", _SETTLE_TOL, target, rounds)
     return rounds
@@ -429,19 +434,22 @@ def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
     """Flow solution sampled on the round clock, as a trajectory.
 
     Rows carry only eps/psi (and the flow time in `t`); the integer columns
-    stay None so the CSV schema is shared with simulated runs.
+    stay None so the CSV schema is shared with simulated runs.  The flow is
+    walked once and the clock summed in one exact pass, so each row equals
+    `ode_solution_departures` at its `t` bit for bit.
     """
     if every < 1 or not 0 <= first_round <= last_round:
         raise ParamError(f"flow rounds: need every >= 1 and 0 <= first <= last, got "
                          f"every={every}, first={first_round}, last={last_round}")
     dyn = flow_dynamics(config)
-    terms = _clock_terms(dyn.n0, last_round)
-    t0 = math.fsum(terms[:first_round])
+    legs = _flow_legs(config.market, dyn, eps0, psi0, dyn.mean_L)
+    clock = _clock_sums(_clock_terms(dyn.n0, last_round),
+                        range(first_round, last_round + 1, every))
     records = []
-    for rnd in range(first_round, last_round + 1, every):
-        t = math.fsum(terms[:rnd]) - t0
-        state = ode_solution_departures(config.market, dyn, eps0, psi0, t)
-        records.append(RoundRecord(eps=state.eps, psi=state.psi, t=t))
+    for total in clock:
+        t = total - clock[0]
+        eps, psi, _ = _state_at(legs, t)
+        records.append(RoundRecord(eps=eps, psi=psi, t=t))
     return Trajectory(records=records, kind="ode", label=config.label)
 
 

@@ -8,24 +8,31 @@ The simulated population's (eps, psi) pair tracks a two-dimensional ODE,
 where kappa switches value at the comparison threshold eps_bar and the
 departure mass E_dep equals E[L] wherever defaults occur (above eps_bar_1)
 and vanishes at eps = 1.  Between thresholds the solution is an explicit
-time-changed logistic, so trajectories are advanced segment by segment with
-bisection only for the crossing times.  A classical fourth-order integrator
-of the same right-hand side serves as an independent cross-check.
+time-changed logistic with an exact inverse.  A flow is walked once into an
+itinerary of legs whose threshold crossing times come from that inverse,
+certified to the last ulp; the state at any t is then one closed-form step
+inside its leg.  A classical fourth-order integrator of the same right-hand
+side serves as an independent cross-check.
 
 Flow time is measured on the round clock: round j of a run that started
-from n0 agents advances it by 1/(j + n0), and `round_clock` is the one
-place that sum is formed.  The module also houses the attractor
-classification, the finite-round estimate used for table predictions, and
-the limit of the average-return variant of the dynamics.
+from n0 agents advances it by 1/(j + n0).  `_clock_terms` is the one place
+those terms are formed, and every clock time is their exactly rounded sum.
+The module also houses the attractor classification, the finite-round
+estimate used for table predictions, and the limit of the average-return
+variant of the dynamics.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .analytic import (clearing_limit, drift_rates, mean_return_gap, return_gap_scan,
                        thresholds)
-from .model import DynamicsParams, MarketParams, ParamError
+from .model import DynamicsParams, MarketParams, ParamError, SolverError
 from .records import RoundRecord, Trajectory
 
 
@@ -101,9 +108,21 @@ def _psi_after(a: float, psi0: float, dt: float) -> float:
     return a + (psi0 - a) * math.exp(-dt)
 
 
+_WARP_LOG = 700.0  # past this log-time e^-dt is below double rounding of the warp
+
+
 def _log_warp(a: float, psi0: float, dt: float) -> float:
     """log of the time-substitution base (a*e^dt + psi0 - a) / psi0."""
+    if dt > _WARP_LOG:  # expm1 would overflow; the base is e^dt * a/psi0 here
+        return dt + math.log(a / psi0)
     return math.log1p(a * math.expm1(dt) / psi0)
+
+
+def _warp_time(a: float, psi0: float, lw: float) -> float:
+    """The dt at which `_log_warp(a, psi0, dt)` equals lw: its exact inverse."""
+    if lw > _WARP_LOG:
+        return lw + math.log(psi0 / a)
+    return math.log1p(psi0 * math.expm1(lw) / a)
 
 
 def _eps_after(seg: _Segment, eps0: float, psi0: float, dt: float) -> float:
@@ -150,16 +169,66 @@ def _locate(segs: tuple[_Segment, ...], eps: float) -> tuple[_Segment, float] | 
     raise AssertionError(f"eps {eps!r} not locatable")
 
 
-def _cross_time(seg: _Segment, eps0: float, psi0: float, rem: float,
-                edge: float, up: bool) -> float:
-    """Bisect the in-segment crossing time of `edge` within [0, rem]."""
+def _cross_time(seg: _Segment, eps0: float, psi0: float, edge: float, up: bool) -> float:
+    """In-segment time at which eps first reaches `edge`; inf if it never does.
+
+    The closed form inverts `_eps_after` in each of its branches.  All of
+    them reach the edge at one value of the time substitution h,
+
+        h* = edge (mu - eps0) / (eps0 (mu - edge))   (kappa != 0: logistic or pole branch)
+        h* = edge / eps0                             (kappa = 0: pure departures)
+
+    (log h* taken through log1p(h* - 1) near 1), and log h* = rate * warp
+    fixes the warp, whose inverse gives dt.  An edge the flow only
+    approaches (0, a midpoint mu, anything past mu, or an edge so near 0
+    that h* underflows) has h* <= 0 or a warp of the wrong sign: inf.
+    Rounding can leave the closed form a few ulps off, so the result is
+    certified against `_eps_after` itself: eps has crossed at the returned
+    dt and not at the float below it, found by stepping from the closed form
+    and bisecting down to adjacent floats.  SolverError if no float crosses.
+    """
     def crossed(dt: float) -> bool:
         v = _eps_after(seg, eps0, psi0, dt)
         return (v >= edge or math.isinf(v)) if up else v <= edge
 
-    lo, hi = 0.0, rem
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
+    if seg.kappa == 0.0:
+        h, g = edge / eps0, (edge - eps0) / eps0
+        rate = seg.e_dep / seg.a
+    else:
+        mu = 1.0 + seg.e_dep / seg.kappa
+        if edge == mu:
+            return math.inf
+        den = eps0 * (mu - edge)
+        h, g = edge * (mu - eps0) / den, mu * (edge - eps0) / den
+        rate = (seg.kappa + seg.e_dep) / seg.a
+    if not h > 0.0 or rate == 0.0:
+        return math.inf
+    lw = (math.log1p(g) if abs(g) < 0.5 else math.log(h)) / rate
+    if not lw >= 0.0:  # the edge lies behind the flow
+        return math.inf
+    dt = _warp_time(seg.a, psi0, lw)
+    if dt == math.inf:
+        return dt
+
+    lo = hi = dt
+    step = math.ulp(dt)
+    if crossed(dt):  # step down until eps has not crossed
+        while True:
+            if hi == 0.0:
+                return hi
+            lo = max(hi - step, 0.0)
+            if not crossed(lo):
+                break
+            hi, step = lo, 2.0 * step
+    else:  # step up until it has
+        while True:
+            hi = lo + step
+            if hi == math.inf:
+                raise SolverError(f"crossing of {edge!r} from {eps0!r} not certified")
+            if crossed(hi):
+                break
+            lo, step = hi, 2.0 * step
+    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:  # down to adjacent floats
         if crossed(mid):
             hi = mid
         else:
@@ -170,48 +239,83 @@ def _cross_time(seg: _Segment, eps0: float, psi0: float, rem: float,
 _MAX_TRANSITIONS = 64
 
 
-def _flow(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
-          t: float, mean_L: float) -> OdeState:
+class _Leg(NamedTuple):
+    """One stretch of a flow, from flow time `start` until the next leg's.
+
+    A moving leg follows `seg`'s closed form from (eps, psi).  A held leg
+    (`seg` None) keeps eps while psi relaxes toward `a`: absorbed at 0 or 1,
+    balanced at a logistic midpoint, or `pinned` at an interior threshold.
+    """
+
+    start: float
+    eps: float
+    psi: float
+    seg: _Segment | None
+    a: float
+    pinned: bool = False
+
+
+def _itinerary(table: _FlowTable, mean_N: float, eps0: float,
+               psi0: float) -> tuple[_Leg, ...]:
+    """The legs of the flow from (eps0, psi0), each crossing time solved once.
+
+    Crossing times do not depend on any horizon, so one walk serves every t;
+    the last leg lasts forever.
+    """
+    legs = []
+    eps, psi, now = eps0, psi0, 0.0
+    for _ in range(_MAX_TRANSITIONS + 1):
+        if eps <= 0.0 or eps >= 1.0:
+            legs.append(_Leg(now, eps, psi, None, mean_N - table.departures_at(eps)))
+            return tuple(legs)
+        located = _locate(table.segs, eps)
+        if located is None:
+            legs.append(_Leg(now, eps, psi, None, mean_N - table.departures_at(eps),
+                             pinned=True))
+            return tuple(legs)
+        seg, direction = located
+        if direction == 0.0:  # balanced exactly at a midpoint: stays put
+            legs.append(_Leg(now, eps, psi, None, seg.a))
+            return tuple(legs)
+        legs.append(_Leg(now, eps, psi, seg, seg.a))
+        edge = seg.hi if direction > 0.0 else seg.lo
+        dt = _cross_time(seg, eps, psi, edge, up=direction > 0.0)
+        if dt == math.inf:
+            return tuple(legs)
+        psi = _psi_after(seg.a, psi, dt)
+        eps = edge
+        now += dt
+    raise RuntimeError("flow failed to settle: too many segment transitions")
+
+
+def _state_at(legs: tuple[_Leg, ...], t: float) -> tuple[float, float, bool]:
+    """(eps, psi, pinned) at flow time t >= 0: one closed-form step inside t's leg."""
+    i = len(legs) - 1
+    while legs[i].start > t:
+        i -= 1
+    leg = legs[i]
+    dt = t - leg.start
+    if dt == 0.0:
+        return leg.eps, leg.psi, leg.pinned
+    eps = leg.eps if leg.seg is None else _eps_after(leg.seg, leg.eps, leg.psi, dt)
+    return eps, _psi_after(leg.a, leg.psi, dt), leg.pinned
+
+
+def _flow_legs(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
+               mean_L: float) -> tuple[_Leg, ...]:
+    """Validated start, flow table and itinerary: everything t-independent."""
     if not 0.0 <= eps0 <= 1.0:
         raise ParamError(f"eps0: fraction {eps0!r} outside [0, 1]")
     if not (math.isfinite(psi0) and psi0 > 0.0):
         raise ParamError(f"psi0: population rate must be finite and positive, got {psi0!r}")
-    if t < 0.0:
-        raise ParamError("t: flow time cannot be negative")
-    table = _flow_table(params, dyn, mean_L)
+    return _itinerary(_flow_table(params, dyn, mean_L), dyn.mean_N, eps0, psi0)
 
-    eps, psi, now = eps0, psi0, 0.0
-    pinned = False
-    transitions = 0
-    while now < t:
-        rem = t - now
-        if eps <= 0.0 or eps >= 1.0 or pinned:
-            psi = _psi_after(dyn.mean_N - table.departures_at(eps), psi, rem)
-            now = t
-            break
-        located = _locate(table.segs, eps)
-        if located is None:
-            pinned = True
-            continue
-        seg, direction = located
-        if direction == 0.0:  # balanced exactly at a midpoint: stays put
-            psi = _psi_after(seg.a, psi, rem)
-            now = t
-            break
-        cand = _eps_after(seg, eps, psi, rem)
-        if seg.lo < cand < seg.hi:
-            eps, psi, now = cand, _psi_after(seg.a, psi, rem), t
-            break
-        edge = seg.hi if (cand >= seg.hi or math.isinf(cand)) else seg.lo
-        dt = _cross_time(seg, eps, psi, rem, edge, up=edge == seg.hi)
-        psi = _psi_after(seg.a, psi, dt)
-        eps = edge
-        now += dt
-        transitions += 1
-        if transitions > _MAX_TRANSITIONS:
-            raise RuntimeError("flow failed to settle: too many segment transitions")
-    if eps <= 0.0 or eps >= 1.0:
-        pinned = False  # absorbing endpoints are reported by eps itself
+
+def _flow(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
+          t: float, mean_L: float) -> OdeState:
+    if not (math.isfinite(t) and t >= 0.0):  # checked before any walk
+        raise ParamError(f"t: flow time must be finite and non-negative, got {t!r}")
+    eps, psi, pinned = _state_at(_flow_legs(params, dyn, eps0, psi0, mean_L), t)
     return OdeState(eps=eps, psi=psi, t=t, pinned=pinned)
 
 
@@ -229,7 +333,33 @@ def ode_solution_departures(params: MarketParams, dyn: DynamicsParams, eps0: flo
 
 def _clock_terms(n0: int, rounds: int) -> list[float]:
     """Clock advance of rounds 1..rounds: round j adds 1/(j + n0)."""
-    return [1.0 / (j + n0) for j in range(1, rounds + 1)]
+    return (1.0 / np.arange(n0 + 1, n0 + rounds + 1, dtype=float)).tolist()
+
+
+def _clock_sums(terms: list[float], ends: range) -> list[float]:
+    """`math.fsum(terms[:e])` for each e in the increasing `ends`, in one pass.
+
+    The running sum is carried exactly as two floats, hi + lo, and each
+    stretch of terms joins it through `math.fsum` (Shewchuk's exact
+    partials), which rounds the exact total once: every hi is bit-identical
+    to a fresh `fsum` of its prefix.  A third `fsum` certifies that hi + lo
+    still holds the total exactly; SolverError if it does not, which would
+    take a sum spanning more than 106 bits.
+    """
+    hi = lo = 0.0
+    sums = []
+    done = 0
+    for end in ends:
+        part = [hi, lo, *terms[done:end]]
+        hi = math.fsum(part)
+        part.append(-hi)
+        lo = math.fsum(part)
+        part.append(-lo)
+        if math.fsum(part) != 0.0:
+            raise SolverError(f"clock sum to round {end} not exact in two floats")
+        sums.append(hi)
+        done = end
+    return sums
 
 
 def round_clock(n0: int, rounds: int) -> float:
@@ -244,12 +374,12 @@ def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float
     The estimate is the departure-free closed form from a unit population
     rate, run for the clock time those k rounds add.
     """
-    if l < 0:
-        raise ParamError("l: negative round offset")
-    if k < 0:
-        raise ParamError("k: negative round count")
-    t_kl = round_clock(dyn.n0, l + k) - round_clock(dyn.n0, l)
-    return _flow(params, dyn, eps0, 1.0, t_kl, 0.0).eps
+    for name, rounds in (("l", l), ("k", k)):
+        if not (isinstance(rounds, numbers.Integral) and rounds >= 0):
+            raise ParamError(f"{name}: round count must be a non-negative integer, got {rounds!r}")
+    terms = _clock_terms(dyn.n0, l + k)
+    t_kl = math.fsum(terms) - math.fsum(terms[:l])
+    return _state_at(_flow_legs(params, dyn, eps0, 1.0, 0.0), t_kl)[0]
 
 
 def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,

@@ -36,6 +36,7 @@ from sysrisk.harness import (
     contrast_configs,
     figure_configs,
     flow_curve,
+    flow_dynamics,
     format_report,
     reproduce_table,
     round_clock,
@@ -47,7 +48,7 @@ from sysrisk.harness import (
     write_table_report,
     write_trajectories,
 )
-from sysrisk.odeflow import finite_round_estimate
+from sysrisk.odeflow import finite_round_estimate, ode_solution_departures
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -195,6 +196,34 @@ def test_round_clock_is_harmonic_sum():
     assert round_clock(300, 0) == 0.0
     expected = sum(1 / (j + 300) for j in range(1, 101))
     assert round_clock(300, 100) == pytest.approx(expected, rel=1e-12)
+    # and it is the exactly rounded sum, bit for bit
+    for n0 in (2, 300, 10**6):
+        for rounds in (0, 1, 17, 4001):
+            terms = [1.0 / (j + n0) for j in range(1, rounds + 1)]
+            assert round_clock(n0, rounds) == math.fsum(terms)
+
+
+def _flow_curve_cases():
+    # the three figures cross eps_bar_1 or eps_bar; table 2's weak-switching
+    # cell climbs to eps_bar and pins there
+    return [(config, 250) for config in figure_configs()] + [(table2_spec(1).rows[2].config, 0)]
+
+
+@pytest.mark.parametrize("config, first", _flow_curve_cases(),
+                         ids=lambda case: getattr(case, "label", str(case)))
+def test_flow_curve_rows_equal_ode_solution(config, first):
+    dyn = flow_dynamics(config)
+    eps0, psi0 = dyn.eps0 + 0.01, 1.1
+    curve = flow_curve(config, eps0, psi0, first, dyn.rounds)
+    terms = [1.0 / (j + dyn.n0) for j in range(1, dyn.rounds + 1)]
+    t0 = math.fsum(terms[:first])
+    crossed = False
+    for rnd, rec in zip(range(first, dyn.rounds + 1, 10), curve.records):
+        assert rec.t == math.fsum(terms[:rnd]) - t0
+        ref = ode_solution_departures(config.market, dyn, eps0, psi0, rec.t)
+        assert (rec.eps, rec.psi) == (ref.eps, ref.psi)
+        crossed = crossed or ref.pinned or abs(rec.eps - eps0) > 0.1
+    assert crossed
 
 
 @pytest.mark.parametrize("l", [0, 200, 1000])
@@ -305,6 +334,18 @@ def test_horizon_extension_only_for_slow_rows():
     assert assert_horizon(slow) == 32000
     settled = t4.rows[2].config
     assert assert_horizon(settled) == 4000
+
+
+def test_assert_horizon_over_the_table_rows():
+    # every preset row at its preset horizon: only two slow cells are stretched
+    rows = [(row.config, base) for spec, base in ((table2_spec(1), 1000), (table3_spec(1), 4000),
+                                                  (table4_spec(1), 4000))
+            for row in spec.rows]
+    horizons = [assert_horizon(replace(config, dynamics=replace(config.dynamics, rounds=base)))
+                for config, base in rows]
+    assert horizons == [1000, 1000, 1000, 1000, 32000,
+                        4000, 4000, 4000, 4000,
+                        32000, 4000, 4000, 4000, 4000, 4000]
 
 
 def test_flow_matches_round_walker(mini_config):

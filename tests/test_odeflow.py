@@ -5,12 +5,16 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, ParamError
 from sysrisk.analytic import drift_rates
 from sysrisk.odeflow import (
     DegenerateFlowError,
+    _cross_time,
+    _eps_after,
     _flow_table,
+    _Segment,
     avg_limit,
     classify_attractors,
     finite_round_estimate,
@@ -176,6 +180,80 @@ def test_flow_input_validation(growth_market, growth_dyn):
         ode_solution(growth_market, growth_dyn, 0.5, 1.0, -1.0)
     with pytest.raises(ParamError):
         ode_numeric(growth_market, growth_dyn, 0.5, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+@pytest.mark.parametrize("solve", [ode_solution, ode_solution_departures])
+def test_flow_rejects_non_finite_time(growth_market, growth_dyn, solve, t):
+    with pytest.raises(ParamError, match="^t: "):
+        solve(growth_market, growth_dyn, 0.5, 1.0, t)
+
+
+@pytest.mark.parametrize("l, k", [(0, math.inf), (0, math.nan), (math.nan, 10), (0, 10.5)])
+def test_round_walker_rejects_non_integer_rounds(growth_market, growth_dyn, l, k):
+    with pytest.raises(ParamError):
+        finite_round_estimate(growth_market, growth_dyn, 0.85, l, k)
+
+
+def test_flow_past_the_warp_overflow(growth_market, growth_dyn):
+    # e^t overflows a double beyond t ~ 709.8; the warp switches to its log form
+    state = ode_solution(growth_market, growth_dyn, 0.85, 1.0, 1000.0)
+    assert state.eps == 1.0 and state.psi == 1.0
+
+
+def _crossed(seg, eps0, psi0, edge, up, dt):
+    v = _eps_after(seg, eps0, psi0, dt)
+    return (v >= edge or math.isinf(v)) if up else v <= edge
+
+
+@given(kappa=st.one_of(st.just(0.0), st.floats(-10.0, -0.1), st.floats(0.1, 10.0)),
+       e_dep=st.floats(0.0, 5.0), a=st.floats(0.2, 10.0), psi0=st.floats(0.2, 10.0),
+       lo=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)), width=st.floats(0.05, 1.0),
+       frac=st.floats(0.02, 0.98))
+def test_cross_time_is_the_first_crossing(kappa, e_dep, a, psi0, lo, width, frac):
+    # logistic (0 < eps0 < mu), pole (eps0 > mu or mu < 0) and kappa = 0 branches
+    hi = min(lo + width, 1.0)
+    mu = 1.0 + e_dep / kappa if kappa else math.nan
+    # degenerate (mu = 0) and motionless segments are rejected upstream
+    assume(abs(mu) >= 1e-3 if kappa else e_dep >= 1e-3)
+    seg = _Segment(lo, hi, kappa, e_dep, a)
+    eps0 = lo + frac * (hi - lo)
+    assume(eps0 > 0.0 and not abs(eps0 - mu) < 1e-3)
+    up = seg.drift(eps0) > 0.0
+    edge = hi if up else lo
+    dt = _cross_time(seg, eps0, psi0, edge, up)
+    # an edge at 0, or one with the midpoint mu between it and eps0, is never reached
+    never = edge == 0.0 or min(eps0, edge) <= mu <= max(eps0, edge)
+    assert math.isinf(dt) == never
+    if not never:
+        assert _crossed(seg, eps0, psi0, edge, up, dt)
+        assert not _crossed(seg, eps0, psi0, edge, up, dt * (1.0 - 1e-12))
+
+
+def test_cross_time_edge_cases():
+    # downward logistic toward 0: the lower edge at 0 is never reached
+    seg = _Segment(0.0, 0.5, -4.68, 0.0, 7.0)
+    assert _cross_time(seg, 0.3, 1.0, 0.0, up=False) == math.inf
+    # midpoint inside the segment: flow from below stalls at mu = 0.6 < hi
+    seg = _Segment(0.2, 0.9, 5.0, -2.0, 3.0)
+    assert _cross_time(seg, 0.4, 1.0, 0.9, up=True) == math.inf
+    # a lower edge so far below eps0 that 1 + (h* - 1) cancels to 0: reached, late
+    seg = _Segment(1e-30, 0.5, -1.0, 0.0, 1.0)
+    dt = _cross_time(seg, 0.5, 1.0, 1e-30, up=False)
+    assert math.isfinite(dt)
+    assert _eps_after(seg, 0.5, 1.0, dt) <= 1e-30 < _eps_after(seg, 0.5, 1.0, dt * (1 - 1e-12))
+    # repelled upward from mu = 0.3: the pole branch runs off to +inf, past hi
+    seg = _Segment(0.2, 0.9, -5.0, 3.5, 3.0)
+    dt = _cross_time(seg, 0.5, 1.0, 0.9, up=True)
+    assert math.isfinite(dt)
+    assert _eps_after(seg, 0.5, 1.0, dt) >= 0.9 > _eps_after(seg, 0.5, 1.0, dt * (1 - 1e-12))
+    assert math.isinf(_eps_after(seg, 0.5, 1.0, 10 * dt))
+    # and agrees with a plain bisection of the forward map
+    lo_t, hi_t = 0.0, 10 * dt
+    while hi_t - lo_t > 1e-14:
+        mid = 0.5 * (lo_t + hi_t)
+        lo_t, hi_t = (lo_t, mid) if _eps_after(seg, 0.5, 1.0, mid) >= 0.9 else (mid, hi_t)
+    assert dt == pytest.approx(hi_t, abs=1e-13)
 
 
 def test_avg_limit_all_safe(imitation_market):
