@@ -43,13 +43,12 @@ def round_cost(config, n0: int, rounds: int = ROUNDS,
     rng = np.random.default_rng(0)
     state = initial_state(config.market, dyn, rng)
     for _ in range(warmup):
-        state, _ = step_round(state, config.market, dyn, rng, departures=config.departures)
+        state, _ = step_round(state, config.market, dyn, rng)
     timings = []
     for _ in range(TIMINGS):
         start = time.perf_counter()
         for _ in range(rounds):
-            state, _ = step_round(state, config.market, dyn, rng,
-                                  departures=config.departures)
+            state, _ = step_round(state, config.market, dyn, rng)
         timings.append((time.perf_counter() - start) / rounds * 1e6)
     return statistics.median(timings), state.n
 

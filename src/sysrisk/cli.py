@@ -25,8 +25,6 @@ def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
     if getattr(args, "seed", None):
         config = replace(config, seeds=harness.parse_seeds("--seed", args.seed))
-    if getattr(args, "departures", None) is not None:
-        config = replace(config, departures=args.departures)
     return config
 
 
@@ -79,8 +77,7 @@ def cmd_ode(args: argparse.Namespace) -> int:
                                         every=args.every)
     else:
         horizon = harness.round_clock(dyn.n0, rounds)
-        trajectory = ode_numeric(config.market, harness.flow_dynamics(config), dyn.eps0,
-                                 args.psi0, horizon, args.step)
+        trajectory = ode_numeric(config.market, dyn, dyn.eps0, args.psi0, horizon, args.step)
     stream, path = _out_file(args, "ode.csv")
     harness.write_trajectories(stream if stream is not None else path, [trajectory])
     if path is not None:
@@ -170,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--rounds", type=int, help="horizon in rounds (default: config)")
     po.add_argument("--every", type=int, default=10, help="closed-form sampling stride")
     po.add_argument("--step", type=float, default=1e-3, help="numeric integration step")
-    po.add_argument("--departures", action=argparse.BooleanOptionalAction, default=None)
     po.add_argument("--out", metavar="DIR", help="write ode.csv here instead of stdout")
     po.set_defaults(func=cmd_ode)
 
@@ -178,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", required=True, metavar="PATH")
     ps.add_argument("--seed", metavar="N[,N...]", help="override the config's seeds")
     ps.add_argument("--out", metavar="DIR", help="write trajectories.csv + metadata.json")
-    ps.add_argument("--departures", action=argparse.BooleanOptionalAction, default=None)
     ps.set_defaults(func=cmd_simulate)
 
     pe = sub.add_parser("ess", help="stability verdicts for candidate fractions")

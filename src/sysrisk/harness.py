@@ -17,7 +17,7 @@ import os
 import statistics
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .analytic import drift_rates, thresholds
@@ -25,7 +25,7 @@ from .model import DynamicsParams, MarketParams, ParamError
 from .odeflow import (_clock_sums, _clock_terms, _flow_legs, _state_at, classify_attractors,
                       ode_solution_departures, round_clock)
 from .records import RoundRecord, Trajectory
-from .replicator import estimate_limit, run_simulation
+from .replicator import estimate_limit, run_simulation, tail_window
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,7 @@ TRAJECTORY_COLUMNS = ("round", "n", "n1", "eps", "psi", "default_frac",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: market, dynamics, run flags and seeds.
+    """One experiment: market, dynamics, seeds and a label.
 
     Frozen and built from frozen parts, so it pickles cleanly into worker
     processes and hashes canonically for run metadata.
@@ -43,7 +43,6 @@ class ExperimentConfig:
 
     market: MarketParams
     dynamics: DynamicsParams
-    departures: bool = True
     seeds: tuple[int, ...] = (0,)
     label: str = ""
 
@@ -51,13 +50,18 @@ class ExperimentConfig:
         if not self.seeds or min(self.seeds) < 0:
             raise ParamError(f"run.seeds: need one or more non-negative seeds, got {self.seeds}")
 
+    @property
+    def departures(self) -> bool:
+        """Whether defaulted risky agents leave: ``dynamics.mean_L > 0``."""
+        return self.dynamics.mean_L > 0
+
 
 # --------------------------------------------------------------------------
 # flat config files:  "market.w = 70" style, one key per line
 
 _MARKET_TYPES = typing.get_type_hints(MarketParams)
 _DYN_TYPES = typing.get_type_hints(DynamicsParams)
-_RUN_TYPES: dict[str, object] = {"departures": bool, "seeds": "seeds", "label": str}
+_RUN_TYPES: dict[str, object] = {"seeds": "seeds", "label": str}
 
 
 def parse_seeds(key: str, text: str) -> tuple[int, ...]:
@@ -72,13 +76,6 @@ def parse_seeds(key: str, text: str) -> tuple[int, ...]:
 
 
 def _coerce(key: str, raw: str, tp: object) -> object:
-    if tp is bool:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ParamError(f"{key}: expected a boolean, got {raw!r}")
     if tp in (int, float):
         try:
             value = tp(raw)
@@ -103,8 +100,6 @@ def _coerce(key: str, raw: str, tp: object) -> object:
 def _render(value: object) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -222,21 +217,16 @@ def _run_payloads(payloads: list[tuple[ExperimentConfig, int, bool]],
 # --------------------------------------------------------------------------
 # theory columns
 
-def flow_dynamics(config: ExperimentConfig) -> DynamicsParams:
-    """Dynamics as the flow sees them: mean_L zeroed unless departures are on."""
-    return config.dynamics if config.departures else replace(config.dynamics, mean_L=0.0)
-
-
 def theory_at_horizon(config: ExperimentConfig) -> float:
     """Flow prediction for the risk-free fraction at the config's horizon."""
     dyn = config.dynamics
     t = round_clock(dyn.n0, dyn.rounds)
-    return ode_solution_departures(config.market, flow_dynamics(config), dyn.eps0, 1.0, t).eps
+    return ode_solution_departures(config.market, dyn, dyn.eps0, 1.0, t).eps
 
 
 def asymptotic_limit(config: ExperimentConfig) -> float:
     """The attractor whose basin holds the config's starting fraction."""
-    report = classify_attractors(config.market, flow_dynamics(config))
+    report = classify_attractors(config.market, config.dynamics)
     eps0 = config.dynamics.eps0
     for (lo, hi), (eps_star, _) in zip(report.doa, report.attractors):
         if lo <= eps0 < hi or (hi == 1.0 and eps0 == 1.0):
@@ -261,7 +251,7 @@ def assert_horizon(config: ExperimentConfig) -> int:
     probe equals `theory_at_horizon` at its horizon bit for bit.
     """
     target = asymptotic_limit(config)
-    dyn = flow_dynamics(config)
+    dyn = config.dynamics
     legs = _flow_legs(config.market, dyn, dyn.eps0, 1.0, dyn.mean_L)
     rounds = dyn.rounds
     terms = _clock_terms(dyn.n0, rounds)
@@ -279,14 +269,9 @@ def assert_horizon(config: ExperimentConfig) -> int:
 # --------------------------------------------------------------------------
 # table reproduction
 
-_TARGET_LIMIT = "limit"
-_TARGET_HORIZON = "finite-horizon"
-
-
 @dataclass(frozen=True)
 class RowSpec:
     config: ExperimentConfig
-    target_kind: str = _TARGET_LIMIT  # "limit" or "finite-horizon"
 
 
 @dataclass(frozen=True)
@@ -343,6 +328,12 @@ def reproduce_table(spec: TableSpec, out_dir: str | Path | None = None) -> Table
     finite population keeps a small per-seed probability of jumping between
     basins, so a mean over seeds measures the escape rate where the table
     reports the typical outcome.
+
+    Each row is gated against the theory value that applies at its horizon:
+    the asymptotic limit once the flow has settled within `_SETTLE_TOL` of
+    it, the flow value at the horizon otherwise (slow cells sit a visible
+    distance from their limit at any fixed round count, and that distance is
+    physics, not sampling error).
     """
     payloads = [(row.config, seed, False) for row in spec.rows for seed in row.config.seeds]
     results = _run_payloads(payloads)
@@ -359,18 +350,13 @@ def reproduce_table(spec: TableSpec, out_dir: str | Path | None = None) -> Table
         beta, _ = drift_rates(config.market, dyn)
         limit = asymptotic_limit(config)
         horizon_est = theory_at_horizon(config)
-        # Gate each row against the theory value that applies at its horizon:
-        # the limit once the flow has settled there, the flow value otherwise
-        # (slow cells sit a visible distance from their limit at any fixed
-        # round count, and that distance is physics, not sampling error).
-        settled = abs(horizon_est - limit) <= _SETTLE_TOL
-        target = limit if row.target_kind == _TARGET_LIMIT and settled else horizon_est
+        target = limit if abs(horizon_est - limit) <= _SETTLE_TOL else horizon_est
         rows.append(TableRow(
             config_id=config.label, eps0=dyn.eps0, target=target,
             eps_theory=limit, eps_theory_T=horizon_est,
             eps_mc_median=median, eps_mc_mean=mean, eps_mc_stderr=stderr,
             escapes=escapes, eps_bar=th.eps_bar, eps_bar_1=th.eps_bar_1,
-            beta=beta, mean_L=flow_dynamics(config).mean_L,
+            beta=beta, mean_L=dyn.mean_L,
             rounds=dyn.rounds, n_seeds=len(config.seeds), tol=_ROW_TOL,
             passed=abs(median - target) <= _ROW_TOL))
     report = TableReport(name=spec.name, rows=tuple(rows))
@@ -396,14 +382,6 @@ def format_report(report: TableReport) -> str:
 # --------------------------------------------------------------------------
 # file output
 
-def _cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_trajectories(path_or_file, trajectories: list[Trajectory]) -> None:
     """Round-per-line CSV of runs, stacked over seeds.
 
@@ -421,12 +399,9 @@ def _write_rows(fh, trajectories: list[Trajectory]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(TRAJECTORY_COLUMNS)
     for trajectory in trajectories:
-        for rec in trajectory.records:
-            writer.writerow([_cell(rec.round), _cell(rec.n), _cell(rec.n1),
-                             _cell(rec.eps), _cell(rec.psi), _cell(rec.default_frac),
-                             _cell(rec.xi), _cell(rec.Xi1), _cell(rec.Xi2),
-                             _cell(rec.departures), _cell(rec.mean_r1),
-                             _cell(rec.mean_r2), _cell(trajectory.seed)])
+        writer.writerows((rec.round, rec.n, rec.n1, rec.eps, rec.psi, rec.default_frac,
+                          rec.xi, rec.Xi1, rec.Xi2, rec.departures, rec.mean_r1,
+                          rec.mean_r2, trajectory.seed) for rec in trajectory.records)
 
 
 def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
@@ -441,7 +416,7 @@ def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
     if every < 1 or not 0 <= first_round <= last_round:
         raise ParamError(f"flow rounds: need every >= 1 and 0 <= first <= last, got "
                          f"every={every}, first={first_round}, last={last_round}")
-    dyn = flow_dynamics(config)
+    dyn = config.dynamics
     legs = _flow_legs(config.market, dyn, eps0, psi0, dyn.mean_L)
     clock = _clock_sums(_clock_terms(dyn.n0, last_round),
                         range(first_round, last_round + 1, every))
@@ -450,7 +425,7 @@ def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
         t = total - clock[0]
         eps, psi, _ = _state_at(legs, t)
         records.append(RoundRecord(eps=eps, psi=psi, t=t))
-    return Trajectory(records=records, kind="ode", label=config.label)
+    return Trajectory(records=records, label=config.label)
 
 
 def write_metadata(path: str | Path, config: ExperimentConfig,
@@ -477,14 +452,12 @@ def write_table_report(report: TableReport, spec: TableSpec, out_dir: str | Path
     with open(out / f"{report.name}_rows.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in report.rows:
-            writer.writerow([_cell(getattr(row, name)) for name in columns])
+        writer.writerows(astuple(row) for row in report.rows)
     (out / f"{report.name}_report.json").write_text(
         json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
     meta = {"table": report.name, "passed": report.passed, "version": _pkg_version(),
             "rows": [{"config": config_to_flat(r.config),
-                      "config_sha256": config_digest(r.config),
-                      "target_kind": r.target_kind} for r in spec.rows]}
+                      "config_sha256": config_digest(r.config)} for r in spec.rows]}
     (out / f"{report.name}_metadata.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -511,32 +484,30 @@ def table2_spec(n_seeds: int = 20) -> TableSpec:
     """Arrival-dominated runs without departures, five (b, delta, eps0) cells."""
     seeds = tuple(range(n_seeds))
     rows = []
-    cells = ((0.9, 0.85, 0.85, _TARGET_LIMIT),
-             (0.9, 0.85, 0.75, _TARGET_LIMIT),
-             (0.4, 0.85, 0.80, _TARGET_LIMIT),
-             (0.9, 0.45, 0.60, _TARGET_LIMIT),
-             (0.15, 0.45, 0.20, _TARGET_HORIZON))
-    for b, delta, eps0, kind in cells:
+    cells = ((0.9, 0.85, 0.85),
+             (0.9, 0.85, 0.75),
+             (0.4, 0.85, 0.80),
+             (0.9, 0.45, 0.60),
+             (0.15, 0.45, 0.20))
+    for b, delta, eps0 in cells:
         dyn = DynamicsParams(mean_N=1.0, mean_S=10.0, mean_L=0.0, b_n=b, b_s=b,
                              n0=300, eps0=eps0, rounds=1000)
-        config = ExperimentConfig(market=_growth_market(delta), dynamics=dyn,
-                                  departures=False, seeds=seeds,
+        config = ExperimentConfig(market=_growth_market(delta), dynamics=dyn, seeds=seeds,
                                   label=f"b={b:g} delta={delta:g} eps0={eps0:g}")
-        rows.append(RowSpec(config=config, target_kind=kind))
+        rows.append(RowSpec(config=config))
     return TableSpec(name="table2", rows=tuple(rows))
 
 
 _SLOW_SEEDS = 5  # seeds of a cell whose horizon assert_horizon stretched
 
 
-def _departure_row(b: float, eps0: float, mean_L: float, departures: bool,
-                   n_seeds: int) -> RowSpec:
+def _departure_row(b: float, eps0: float, mean_L: float, n_seeds: int) -> RowSpec:
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=mean_L, b_n=b, b_s=b,
                          n0=500, eps0=eps0, rounds=4000)
     config = ExperimentConfig(market=_imitation_market(), dynamics=dyn,
-                              departures=departures, seeds=tuple(range(n_seeds)),
+                              seeds=tuple(range(n_seeds)),
                               label=(f"b={b:g} eps0={eps0:g} L={mean_L:g} "
-                                     f"{'on' if departures else 'off'}"))
+                                     f"{'on' if mean_L > 0 else 'off'}"))
     horizon = assert_horizon(config)
     if horizon != dyn.rounds:
         config = replace(config, seeds=tuple(range(_SLOW_SEEDS)),
@@ -546,21 +517,21 @@ def _departure_row(b: float, eps0: float, mean_L: float, departures: bool,
 
 def table3_spec(n_seeds: int = 10) -> TableSpec:
     """Departure on/off pairs at high observation accuracy (b = 0.8)."""
-    rows = (_departure_row(0.8, 0.4, 5.6, True, n_seeds),
-            _departure_row(0.8, 0.4, 0.0, False, n_seeds),
-            _departure_row(0.8, 0.3, 2.1, True, n_seeds),
-            _departure_row(0.8, 0.3, 0.0, False, n_seeds))
+    rows = (_departure_row(0.8, 0.4, 5.6, n_seeds),
+            _departure_row(0.8, 0.4, 0.0, n_seeds),
+            _departure_row(0.8, 0.3, 2.1, n_seeds),
+            _departure_row(0.8, 0.3, 0.0, n_seeds))
     return TableSpec(name="table3", rows=rows)
 
 
 def table4_spec(n_seeds: int = 10) -> TableSpec:
     """Departure on/off pairs at low observation accuracy (b = 0.4)."""
-    rows = (_departure_row(0.4, 0.4, 1.75, True, n_seeds),
-            _departure_row(0.4, 0.4, 0.0, False, n_seeds),
-            _departure_row(0.4, 0.8, 1.0, True, n_seeds),
-            _departure_row(0.4, 0.8, 0.0, False, n_seeds),
-            _departure_row(0.4, 0.5, 0.7, True, n_seeds),
-            _departure_row(0.4, 0.5, 0.0, False, n_seeds))
+    rows = (_departure_row(0.4, 0.4, 1.75, n_seeds),
+            _departure_row(0.4, 0.4, 0.0, n_seeds),
+            _departure_row(0.4, 0.8, 1.0, n_seeds),
+            _departure_row(0.4, 0.8, 0.0, n_seeds),
+            _departure_row(0.4, 0.5, 0.7, n_seeds),
+            _departure_row(0.4, 0.5, 0.0, n_seeds))
     return TableSpec(name="table4", rows=rows)
 
 
@@ -571,8 +542,7 @@ def figure_configs(seed: int = 0) -> tuple[ExperimentConfig, ...]:
         dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=0.84, b_n=0.4, b_s=0.4,
                              n0=500, eps0=eps0, rounds=4000)
         configs.append(ExperimentConfig(market=_imitation_market(), dynamics=dyn,
-                                        departures=True, seeds=(seed,),
-                                        label=f"trajectory eps0={eps0:g}"))
+                                        seeds=(seed,), label=f"trajectory eps0={eps0:g}"))
     return tuple(configs)
 
 
@@ -648,20 +618,17 @@ def contrast_configs(n_seeds: int = 10) -> tuple[ExperimentConfig, ExperimentCon
         market=market,
         dynamics=DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=2.0, b_n=0.8, b_s=0.8,
                                 n0=500, eps0=0.5, rounds=1500),
-        departures=True, seeds=seeds, label="adaptive eps0=0.5")
+        seeds=seeds, label="adaptive eps0=0.5")
     frozen = ExperimentConfig(
         market=market,
         dynamics=DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=0.0, b_n=0.8, b_s=0.8,
                                 n0=500, eps0=0.0, rounds=1500),
-        departures=False, seeds=seeds, label="frozen eps0=0")
+        seeds=seeds, label="frozen eps0=0")
     return adaptive, frozen
 
 
 def _tail_default(trajectory: Trajectory) -> float:
-    window = max(1, len(trajectory.records) // 10)
-    tail = trajectory.records[-window:]
-    return statistics.fmean(rec.default_frac for rec in tail
-                            if rec.default_frac is not None)
+    return statistics.fmean(rec.default_frac for rec in tail_window(trajectory.records))
 
 
 def systemic_contrast(n_seeds: int = 10, out_dir: str | Path | None = None) -> ContrastReport:

@@ -458,7 +458,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
                 seg, direction = decision
                 eps = target + math.copysign(1e-13, direction)
         records.append(RoundRecord(eps=min(eps, 1.0), psi=psi, t=now))
-    return Trajectory(records=records, kind="ode")
+    return Trajectory(records=records)
 
 
 @dataclass(frozen=True)

@@ -33,5 +33,4 @@ class RoundRecord:
 class Trajectory:
     records: list[RoundRecord] = field(default_factory=list)
     seed: int | None = None
-    kind: str = "mc"  # "mc" or "ode"
     label: str = ""

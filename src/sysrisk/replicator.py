@@ -27,6 +27,7 @@ compared, ties go to the risk-free side, and an observation error
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +85,14 @@ def _draw_count(rng_stream: np.random.Generator, mean: float, bound: int) -> int
     return int(rng_stream.binomial(bound, mean / bound))
 
 
-def _draw_counts(rng_stream: np.random.Generator, dyn: DynamicsParams,
-                 departures: bool) -> tuple[int, int, int]:
-    """The round's arrival, switch-attempt and departure-cap counts (N, S, L)."""
+def _draw_counts(rng_stream: np.random.Generator, dyn: DynamicsParams) -> tuple[int, int, int]:
+    """The round's arrival, switch-attempt and departure-cap counts (N, S, L).
+
+    L is drawn only when departures are on (``mean_L > 0``).
+    """
     N_k = _draw_count(rng_stream, dyn.mean_N, dyn.bound_N)
     S_k = _draw_count(rng_stream, dyn.mean_S, count_bound(dyn.mean_S))
-    L_k = 0
-    if departures and dyn.mean_L > 0.0:
-        L_k = _draw_count(rng_stream, dyn.mean_L, dyn.bound_L)
+    L_k = _draw_count(rng_stream, dyn.mean_L, dyn.bound_L) if dyn.mean_L > 0.0 else 0
     return N_k, S_k, L_k
 
 
@@ -158,8 +159,7 @@ def _thin(rng_stream: np.random.Generator, count: int, p: float) -> int:
 
 
 def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
-               rng_stream: np.random.Generator, *, departures: bool = True
-               ) -> tuple[PopulationState, RoundRecord]:
+               rng_stream: np.random.Generator) -> tuple[PopulationState, RoundRecord]:
     """Play one round; return the successor state and the round's record.
 
     The record describes the population that *played* the round (its eps, psi
@@ -167,18 +167,18 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
     of operations inside the round: draw the arrival/switch/departure counts,
     draw the shocks, clear, compute returns, apply switching (simultaneous,
     based on this round's returns), remove departing defaulted risky agents
-    that did not just switch, then add arrivals.  The complete graph plays
-    `_count_round`, sampled graphs `_agent_round`.
+    that did not just switch, then add arrivals.  Departures are on exactly
+    when ``dyn.mean_L > 0``.  The complete graph plays `_count_round`, sampled
+    graphs `_agent_round`.
     """
     if state.n < 2:
         raise ParamError("population: need at least two agents per round")
     play = _count_round if params.p_ss == 1.0 else _agent_round
-    return play(state, params, dyn, rng_stream, departures)
+    return play(state, params, dyn, rng_stream)
 
 
 def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
-                 rng_stream: np.random.Generator, departures: bool
-                 ) -> tuple[PopulationState, RoundRecord]:
+                 rng_stream: np.random.Generator) -> tuple[PopulationState, RoundRecord]:
     """One complete-graph round from the class sizes alone, in O(1): one scalar pass.
 
     Risk-free agents earn r1; up- and down-shocked ones earn r_u and r_d and
@@ -190,7 +190,7 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
     """
     n1, n2 = state.n1, state.n2
     n = n1 + n2
-    N_k, S_k, L_k = _draw_counts(rng_stream, dyn, departures)
+    N_k, S_k, L_k = _draw_counts(rng_stream, dyn)
 
     der = derive(params, n1 / n)
     n_u = _thin(rng_stream, n2, params.delta)
@@ -231,12 +231,11 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
 
 
 def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
-                 rng_stream: np.random.Generator, departures: bool
-                 ) -> tuple[PopulationState, RoundRecord]:
+                 rng_stream: np.random.Generator) -> tuple[PopulationState, RoundRecord]:
     """One round agent by agent, on a freshly sampled network."""
     n1, n2 = state.n1, state.n2
     n = n1 + n2
-    N_k, S_k, L_k = _draw_counts(rng_stream, dyn, departures)
+    N_k, S_k, L_k = _draw_counts(rng_stream, dyn)
 
     graph = sample_network(params, n1, n2, rng_stream)
     shocks = sample_shocks(params, n2, graph.eps, rng_stream)
@@ -290,8 +289,8 @@ def run_simulation(config, seed: int) -> Trajectory:
     """Run ``config.dynamics.rounds`` rounds and return the trajectory.
 
     ``config`` is duck-typed, like `harness.ExperimentConfig`: it must expose
-    ``market``, ``dynamics``, the run flag ``departures`` and a ``label``.  The
-    seed fixes the Generator stream, and so the whole run.
+    ``market``, ``dynamics`` and a ``label``.  The seed fixes the Generator
+    stream, and so the whole run.
     """
     params: MarketParams = config.market
     dyn: DynamicsParams = config.dynamics
@@ -299,18 +298,19 @@ def run_simulation(config, seed: int) -> Trajectory:
     state = initial_state(params, dyn, rng)
     records: list[RoundRecord] = []
     for _ in range(dyn.rounds):
-        state, rec = step_round(state, params, dyn, rng, departures=config.departures)
+        state, rec = step_round(state, params, dyn, rng)
         records.append(rec)
-    return Trajectory(records=records, seed=seed, kind="mc", label=config.label)
+    return Trajectory(records=records, seed=seed, label=config.label)
+
+
+def tail_window(records: Sequence[RoundRecord]) -> Sequence[RoundRecord]:
+    """The tail of a run: its last tenth, at least one round."""
+    return records[-max(1, len(records) // 10):]
 
 
 def estimate_limit(trajectory: Trajectory) -> float:
-    """Terminal risk-free fraction: mean eps over the trajectory's tail.
-
-    The tail is the last tenth of the run, at least one round.
-    """
+    """Terminal risk-free fraction: mean eps over the trajectory's `tail_window`."""
     recs = trajectory.records
     if not recs:
         raise ParamError("trajectory: no rounds recorded")
-    window = max(1, len(recs) // 10)
-    return float(np.mean([r.eps for r in recs[-window:]]))
+    return float(np.mean([r.eps for r in tail_window(recs)]))

@@ -202,7 +202,7 @@ def test_criterion_6_large_network_clearing():
 def test_criterion_7_trajectory_tracks_walker():
     dyn = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.9, b_s=0.9,
                          n0=300, eps0=0.85, rounds=1000)
-    config = ExperimentConfig(market=GROWTH, dynamics=dyn, departures=False)
+    config = ExperimentConfig(market=GROWTH, dynamics=dyn)
     walker = [finite_round_estimate(GROWTH, dyn, 0.85, 0, j)
               for j in range(100, 1000)]
     mads = []

@@ -174,11 +174,13 @@ def test_repeated_key_exits_2(tmp_path, config_path, capsys):
         f"error: {bad}:{len(lines) + 1}: market.v already set on line {first}\n")
 
 
-# run outputs go to --out, and the fixed-links and deterministic-counts modes are
-# gone; a config naming any of them is refused, not ignored
+# run outputs go to --out, the fixed-links and deterministic-counts modes are
+# gone, and departures are set by dynamics.mean_L alone; a config naming any of
+# them is refused, not ignored
 @pytest.mark.parametrize("key, value", [("run.out_dir", "results"),
                                         ("run.fixed_links", "false"),
-                                        ("run.deterministic_counts", "true")])
+                                        ("run.deterministic_counts", "true"),
+                                        ("run.departures", "true")])
 def test_unknown_run_option_exits_2(tmp_path, config_path, capsys, key, value):
     bad = tmp_path / "unknown.txt"
     bad.write_text(config_path.read_text() + f"{key} = {value}\n")
@@ -188,11 +190,18 @@ def test_unknown_run_option_exits_2(tmp_path, config_path, capsys, key, value):
     assert captured.err == f"error: {key}: unknown run option\n"
 
 
-def test_retired_simulate_flag_exits_2(config_path, capsys):
+# retired flags are refused: the fixed-links mode is gone, and dynamics.mean_L = 0
+# is the one way to turn departures off
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--fixed-links"),
+    ("simulate", "--departures"), ("simulate", "--no-departures"),
+    ("ode", "--departures"), ("ode", "--no-departures"),
+], ids=lambda value: value.lstrip("-"))
+def test_retired_simulate_flag_exits_2(config_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", str(config_path), "--fixed-links"])
+        main([command, "--config", str(config_path), flag])
     assert exc.value.code == 2
-    assert "--fixed-links" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--every", "0"], ["--every", "-1"], ["--rounds", "-1"],

@@ -21,6 +21,7 @@ from sysrisk import (
     RoundRecord,
     Trajectory,
     config_digest,
+    harness,
     load_config,
     run_simulation,
     save_config,
@@ -36,7 +37,6 @@ from sysrisk.harness import (
     contrast_configs,
     figure_configs,
     flow_curve,
-    flow_dynamics,
     format_report,
     reproduce_table,
     round_clock,
@@ -58,13 +58,14 @@ def mini_config(growth_market):
     dyn = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.9, b_s=0.9,
                          n0=300, eps0=0.95, rounds=600)
     return ExperimentConfig(market=growth_market, dynamics=dyn,
-                            departures=False, seeds=(0, 1, 2), label="mini")
+                            seeds=(0, 1, 2), label="mini")
 
 
 def test_config_flat_round_trip(mini_config):
     flat = config_to_flat(mini_config)
     assert flat["market.w"] == "70.0"
-    assert flat["run.departures"] == "false"
+    # departures live in dynamics.mean_L alone; the run section holds seeds and label
+    assert [key for key in flat if key.startswith("run.")] == ["run.seeds", "run.label"]
     assert flat["run.seeds"] == "0,1,2"
     again = config_from_flat(flat)
     assert again == mini_config
@@ -118,7 +119,7 @@ def test_trajectory_csv_schema():
         RoundRecord(eps=0.41, psi=1.002, round=1, n=503, n1=206, default_frac=0.0,
                     xi=0, Xi1=1, Xi2=0, departures=0, mean_r1=62.5, mean_r2=None),
     )
-    traj = Trajectory(records=records, seed=7, kind="mc")
+    traj = Trajectory(records=records, seed=7)
     buf = io.StringIO()
     write_trajectories(buf, [traj])
     text = buf.getvalue()
@@ -168,7 +169,7 @@ def test_shipped_config_stream_pins(name):
 
 def test_flow_export_blanks_integer_columns(mini_config):
     traj = flow_curve(mini_config, 0.95, 1.0, 0, 100, every=10)
-    assert traj.kind == "ode"
+    assert all(rec.t is not None for rec in traj.records)
     buf = io.StringIO()
     write_trajectories(buf, [traj])
     rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
@@ -212,7 +213,7 @@ def _flow_curve_cases():
 @pytest.mark.parametrize("config, first", _flow_curve_cases(),
                          ids=lambda case: getattr(case, "label", str(case)))
 def test_flow_curve_rows_equal_ode_solution(config, first):
-    dyn = flow_dynamics(config)
+    dyn = config.dynamics
     eps0, psi0 = dyn.eps0 + 0.01, 1.1
     curve = flow_curve(config, eps0, psi0, first, dyn.rounds)
     terms = [1.0 / (j + dyn.n0) for j in range(1, dyn.rounds + 1)]
@@ -283,7 +284,7 @@ def test_table_presets_embed_exact_parameters():
         m, dyn = row.config.market, row.config.dynamics
         assert (m.w, m.v, m.u, m.d, m.r_s, m.r_b) == (70.0, 20.0, 0.15, -0.6, 0.1, 0.11)
         assert (dyn.mean_N, dyn.mean_S, dyn.n0, dyn.rounds) == (1.0, 10.0, 300, 1000)
-        assert not row.config.departures
+        assert dyn.mean_L == 0
         assert len(row.config.seeds) >= 20
     assert [r.config.dynamics.eps0 for r in t2.rows] == [0.85, 0.75, 0.80, 0.60, 0.20]
     assert [r.config.market.delta for r in t2.rows] == [0.85, 0.85, 0.85, 0.45, 0.45]
@@ -293,7 +294,7 @@ def test_table_presets_embed_exact_parameters():
             m, dyn = row.config.market, row.config.dynamics
             assert (m.w, m.v, m.u, m.d, m.delta) == (70.0, 15.0, 0.13, -0.6, 0.8)
             assert (dyn.mean_N, dyn.mean_S, dyn.n0) == (7.0, 6.0, 500)
-            assert row.config.departures == (dyn.mean_L > 0)
+            assert row.config.label.endswith(" on" if dyn.mean_L > 0 else " off")
 
     t3 = table3_spec()
     assert [r.config.dynamics.mean_L for r in t3.rows] == [5.6, 0.0, 2.1, 0.0]
@@ -346,6 +347,28 @@ def test_assert_horizon_over_the_table_rows():
     assert horizons == [1000, 1000, 1000, 1000, 32000,
                         4000, 4000, 4000, 4000,
                         32000, 4000, 4000, 4000, 4000, 4000]
+
+
+def test_table_targets_follow_the_settle_rule(monkeypatch):
+    # a row is gated against its limit once the flow has settled within
+    # _SETTLE_TOL of it at the horizon, and against the flow value otherwise;
+    # the Monte-Carlo side is stubbed out, since a target is theory alone
+    monkeypatch.setattr(harness, "_run_payloads",
+                        lambda payloads: [(seed, 0.5, None) for _, seed, _ in payloads])
+    unsettled = []
+    for spec in (table2_spec(1), table3_spec(1), table4_spec(1)):
+        for row_spec, row in zip(spec.rows, reproduce_table(spec).rows, strict=True):
+            limit = asymptotic_limit(row_spec.config)
+            at_horizon = theory_at_horizon(row_spec.config)
+            if abs(at_horizon - limit) <= harness._SETTLE_TOL:
+                assert row.target == limit
+            else:
+                assert row.target == at_horizon
+                unsettled.append(row.config_id)
+    # the cells whose flow is still moving at the preset horizon
+    assert unsettled == ["b=0.15 delta=0.45 eps0=0.2", "b=0.8 eps0=0.4 L=0 off",
+                         "b=0.8 eps0=0.3 L=2.1 on", "b=0.8 eps0=0.3 L=0 off",
+                         "b=0.4 eps0=0.8 L=0 off"]
 
 
 def test_flow_matches_round_walker(mini_config):

@@ -25,7 +25,6 @@ from sysrisk.replicator import (
 class Cfg:
     market: MarketParams
     dynamics: DynamicsParams
-    departures: bool = True
     label: str = ""
 
 
@@ -44,7 +43,9 @@ def test_first_record_is_start_state(short_cfg):
     assert rec.round == 0
     assert rec.n == short_cfg.dynamics.n0
     assert rec.n1 == round(short_cfg.dynamics.eps0 * short_cfg.dynamics.n0)
-    assert traj.kind == "mc" and traj.seed == 3
+    assert traj.seed == 3
+    # a Monte-Carlo row carries no flow time
+    assert all(rec.t is None for rec in traj.records)
     assert len(traj.records) == short_cfg.dynamics.rounds
 
 
@@ -90,7 +91,9 @@ def test_same_seed_same_path(short_cfg):
 
 
 def test_departures_flag(short_cfg):
-    off = replace(short_cfg, departures=False)
+    # departures are off exactly when the departure-cap mean is zero
+    assert short_cfg.dynamics.mean_L > 0
+    off = replace(short_cfg, dynamics=replace(short_cfg.dynamics, mean_L=0.0))
     traj = run_simulation(off, seed=5)
     assert all(rec.departures == 0 for rec in traj.records)
     on = run_simulation(short_cfg, seed=5)
@@ -125,7 +128,7 @@ def test_state_is_four_numbers(imitation_market):
 def test_estimate_limit_tail_mean():
     records = tuple(RoundRecord(eps=e, psi=1.0, round=i)
                     for i, e in enumerate([0.1] * 30 + [0.5] * 10))
-    traj = Trajectory(records=records, kind="mc")
+    traj = Trajectory(records=records)
     # the window is a tenth of the run
     assert estimate_limit(traj) == pytest.approx(0.5)
 
@@ -197,7 +200,7 @@ def _round_law(play, market, dyn, state, seed, draws):
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(draws):
-        _, rec = play(state, market, dyn, rng, True)
+        _, rec = play(state, market, dyn, rng)
         rows.append(tuple(getattr(rec, name) for name in ROUND_LAW))
     return rows
 
@@ -277,7 +280,7 @@ def test_count_round_matches_agent_round(case, imitation_market):
 
 def _count_rounds(market, dyn, state, seed, rounds):
     rng = np.random.default_rng(seed)
-    return [_count_round(state, market, dyn, rng, True) for _ in range(rounds)]
+    return [_count_round(state, market, dyn, rng) for _ in range(rounds)]
 
 
 def test_count_round_all_safe(imitation_market):
@@ -349,7 +352,7 @@ def test_count_round_bookkeeping(imitation_market, seed, n1, n2, systemic):
     market = SYSTEMIC if systemic else imitation_market
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8)
     state = PopulationState(round=3, n1=n1, n2=n2, psi=0.9)
-    nxt, rec = _count_round(state, market, dyn, np.random.default_rng(seed), True)
+    nxt, rec = _count_round(state, market, dyn, np.random.default_rng(seed))
     assert (rec.round, rec.n, rec.n1, rec.psi) == (3, state.n, n1, 0.9)
     assert nxt.n1 == n1 + rec.xi + rec.Xi1 - rec.Xi2 and nxt.round == 4
     arrivals = nxt.n - state.n + rec.departures
