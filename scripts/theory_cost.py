@@ -8,7 +8,10 @@
   k = 100..999 rounds (the criterion-7 walker): microseconds per call;
 - the 1 001-point limit grid (`clearing_limit`, `limit_returns` and
   `q_eps` at eps = i/1000) per market: milliseconds per grid;
-- `assert_horizon` over every table 2, 3 and 4 row: milliseconds in all.
+- `assert_horizon` over every table 2, 3 and 4 row: milliseconds in all;
+- `ode_numeric` for criterion 3's two RK4 runs (imitation market from
+  eps0 = 0.4 to flow time 10 at step 1e-3, departures off and on):
+  milliseconds for the pair.
 
 Each figure is the median of `TIMINGS` timings.
 
@@ -25,7 +28,7 @@ from sysrisk import DynamicsParams, MarketParams
 from sysrisk.analytic import clearing_limit, limit_returns, q_eps
 from sysrisk.harness import (assert_horizon, figure_configs, flow_curve, table2_spec,
                              table3_spec, table4_spec)
-from sysrisk.odeflow import finite_round_estimate
+from sysrisk.odeflow import finite_round_estimate, ode_numeric
 
 TIMINGS = 5
 FIRST_ROUND = 250
@@ -39,6 +42,9 @@ MARKETS = {"imitation": IMITATION, "growth": GROWTH,
            "systemic": replace(IMITATION, v=70.0)}
 WALKER_DYN = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.9, b_s=0.9, n0=300, rounds=1000)
 WALKER_ROUNDS = range(100, 1000)
+RK4_DYN = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8,
+                         n0=500, eps0=0.4, rounds=4000)
+RK4_RUNS = (replace(RK4_DYN, mean_L=0.0, bound_L=None), RK4_DYN)
 
 
 def median_seconds(fn) -> float:
@@ -70,6 +76,10 @@ def main() -> int:
             for row in spec.rows]
     cost = median_seconds(lambda: [assert_horizon(config) for config in rows])
     print(f"{f'assert_horizon, {len(rows)} table rows':<40} {cost * 1e3:>7.2f} ms")
+
+    cost = median_seconds(lambda: [ode_numeric(IMITATION, dyn, 0.4, 1.0, 10.0, 1e-3)
+                                   for dyn in RK4_RUNS])
+    print(f"{'ode_numeric, criterion 3 pair':<40} {cost * 1e3:>7.2f} ms")
     return 0
 
 

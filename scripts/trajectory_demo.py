@@ -32,7 +32,7 @@ def main() -> int:
     trajectory = run_simulation(config, args.seed)
     tail = estimate_limit(trajectory)
     final = trajectory.records[-1]
-    defaults = [r.default_frac for r in trajectory.records if r.default_frac is not None]
+    defaults = [r.default_frac for r in trajectory.records]
     print(f"eps0={args.eps0:g} seed={args.seed}: tail eps={tail:.4f}, "
           f"final n={final.n}, mean default fraction={sum(defaults) / len(defaults):.4f}")
     print(f"flow: eps(T)={theory_at_horizon(config):.4f}, "

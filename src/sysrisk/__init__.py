@@ -58,7 +58,6 @@ from .odeflow import (
     AttractorReport,
     AvgLimit,
     DegenerateFlowError,
-    OdeState,
     avg_limit,
     classify_attractors,
     finite_round_estimate,
@@ -66,7 +65,7 @@ from .odeflow import (
     ode_solution,
     ode_solution_departures,
 )
-from .records import RoundRecord, Trajectory
+from .records import OdeState, RoundRecord, Trajectory
 from .replicator import PopulationState, estimate_limit, initial_state, run_simulation, step_round
 
 __version__ = "0.1.0"

@@ -163,13 +163,16 @@ def _quad_roots(a: float, b: float, c: float) -> list[float]:
     return sorted((r1, r2))
 
 
-def _bisect_step(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
+_BISECT_TOL = 1e-12
+
+
+def _bisect_step(fn, lo: float, hi: float) -> float:
     """Smallest point in [lo, hi] where the 0/1-valued fn first turns true."""
     if fn(lo):
         return lo
     if not fn(hi):
         return hi
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if fn(mid):
             hi = mid

@@ -29,8 +29,8 @@ from .replicator import estimate_limit, run_simulation, tail_window
 
 log = logging.getLogger(__name__)
 
-TRAJECTORY_COLUMNS = ("round", "n", "n1", "eps", "psi", "default_frac",
-                      "xi", "Xi1", "Xi2", "departures", "mean_r1", "mean_r2", "seed")
+TRAJECTORY_COLUMNS = (*RoundRecord._fields, "seed")
+_FLOW_BLANKS = (None,) * 7  # a flow row's default_frac .. mean_r2
 
 
 @dataclass(frozen=True)
@@ -255,12 +255,12 @@ def assert_horizon(config: ExperimentConfig) -> int:
     legs = _flow_legs(config.market, dyn, dyn.eps0, 1.0, dyn.mean_L)
     rounds = dyn.rounds
     terms = _clock_terms(dyn.n0, rounds)
-    if abs(_state_at(legs, math.fsum(terms))[0] - target) <= _ROW_TOL:
+    if abs(_state_at(legs, math.fsum(terms)).eps - target) <= _ROW_TOL:
         return rounds
     for _ in range(_MAX_DOUBLINGS):
         terms += _clock_terms(dyn.n0 + rounds, rounds)  # rounds+1..2*rounds
         rounds *= 2
-        if abs(_state_at(legs, math.fsum(terms))[0] - target) <= _SETTLE_TOL:
+        if abs(_state_at(legs, math.fsum(terms)).eps - target) <= _SETTLE_TOL:
             return rounds
     log.warning("flow still %g away from %g at %d rounds", _SETTLE_TOL, target, rounds)
     return rounds
@@ -385,8 +385,9 @@ def format_report(report: TableReport) -> str:
 def write_trajectories(path_or_file, trajectories: list[Trajectory]) -> None:
     """Round-per-line CSV of runs, stacked over seeds.
 
-    Flow trajectories share the schema; their integer columns come out blank.
-    Accepts a path or an open text file (e.g. stdout).
+    A Monte-Carlo row is its `RoundRecord` followed by the seed.  A flow row
+    (an `OdeState`) fills only eps and psi; every other column comes out
+    blank.  Accepts a path or an open text file (e.g. stdout).
     """
     if hasattr(path_or_file, "write"):
         _write_rows(path_or_file, trajectories)
@@ -399,19 +400,18 @@ def _write_rows(fh, trajectories: list[Trajectory]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(TRAJECTORY_COLUMNS)
     for trajectory in trajectories:
-        writer.writerows((rec.round, rec.n, rec.n1, rec.eps, rec.psi, rec.default_frac,
-                          rec.xi, rec.Xi1, rec.Xi2, rec.departures, rec.mean_r1,
-                          rec.mean_r2, trajectory.seed) for rec in trajectory.records)
+        seed = trajectory.seed
+        writer.writerows((*rec, seed) if isinstance(rec, RoundRecord)
+                         else (None, None, None, rec.eps, rec.psi, *_FLOW_BLANKS, seed)
+                         for rec in trajectory.records)
 
 
 def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
                first_round: int, last_round: int, every: int = 10) -> Trajectory:
-    """Flow solution sampled on the round clock, as a trajectory.
+    """Flow solution sampled on the round clock, as a trajectory of `OdeState`s.
 
-    Rows carry only eps/psi (and the flow time in `t`); the integer columns
-    stay None so the CSV schema is shared with simulated runs.  The flow is
-    walked once and the clock summed in one exact pass, so each row equals
-    `ode_solution_departures` at its `t` bit for bit.
+    The flow is walked once and the clock summed in one exact pass, so each
+    row equals `ode_solution_departures` at its `t` bit for bit.
     """
     if every < 1 or not 0 <= first_round <= last_round:
         raise ParamError(f"flow rounds: need every >= 1 and 0 <= first <= last, got "
@@ -420,12 +420,7 @@ def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
     legs = _flow_legs(config.market, dyn, eps0, psi0, dyn.mean_L)
     clock = _clock_sums(_clock_terms(dyn.n0, last_round),
                         range(first_round, last_round + 1, every))
-    records = []
-    for total in clock:
-        t = total - clock[0]
-        eps, psi, _ = _state_at(legs, t)
-        records.append(RoundRecord(eps=eps, psi=psi, t=t))
-    return Trajectory(records=records, label=config.label)
+    return Trajectory(records=[_state_at(legs, total - clock[0]) for total in clock])
 
 
 def write_metadata(path: str | Path, config: ExperimentConfig,
@@ -470,8 +465,8 @@ def _pkg_version() -> str:
 # --------------------------------------------------------------------------
 # presets
 
-def _imitation_market(delta: float = 0.8, v: float = 15.0) -> MarketParams:
-    return MarketParams(w=70.0, v=v, alpha=0.95, delta=delta,
+def _imitation_market(v: float = 15.0) -> MarketParams:
+    return MarketParams(w=70.0, v=v, alpha=0.95, delta=0.8,
                         u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
 
 

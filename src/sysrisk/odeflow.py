@@ -33,19 +33,11 @@ import numpy as np
 from .analytic import (clearing_limit, drift_rates, mean_return_gap, return_gap_scan,
                        thresholds)
 from .model import DynamicsParams, MarketParams, ParamError, SolverError
-from .records import RoundRecord, Trajectory
+from .records import OdeState, Trajectory
 
 
 class DegenerateFlowError(ParamError):
     """A flow interval's logistic midpoint mu_i is exactly zero."""
-
-
-@dataclass(frozen=True)
-class OdeState:
-    eps: float
-    psi: float
-    t: float
-    pinned: bool = False  # frozen at an interior threshold (mixed limit)
 
 
 @dataclass(frozen=True)
@@ -288,26 +280,31 @@ def _itinerary(table: _FlowTable, mean_N: float, eps0: float,
     raise RuntimeError("flow failed to settle: too many segment transitions")
 
 
-def _state_at(legs: tuple[_Leg, ...], t: float) -> tuple[float, float, bool]:
-    """(eps, psi, pinned) at flow time t >= 0: one closed-form step inside t's leg."""
+def _state_at(legs: tuple[_Leg, ...], t: float) -> OdeState:
+    """The state at flow time t >= 0: one closed-form step inside t's leg."""
     i = len(legs) - 1
     while legs[i].start > t:
         i -= 1
     leg = legs[i]
     dt = t - leg.start
     if dt == 0.0:
-        return leg.eps, leg.psi, leg.pinned
+        return OdeState(leg.eps, leg.psi, t, leg.pinned)
     eps = leg.eps if leg.seg is None else _eps_after(leg.seg, leg.eps, leg.psi, dt)
-    return eps, _psi_after(leg.a, leg.psi, dt), leg.pinned
+    return OdeState(eps, _psi_after(leg.a, leg.psi, dt), t, leg.pinned)
+
+
+def _check_start(eps0: float, psi0: float) -> None:
+    """A flow starts at a fraction in [0, 1] and a finite positive population rate."""
+    if not 0.0 <= eps0 <= 1.0:
+        raise ParamError(f"eps0: fraction {eps0!r} outside [0, 1]")
+    if not (math.isfinite(psi0) and psi0 > 0.0):
+        raise ParamError(f"psi0: population rate must be finite and positive, got {psi0!r}")
 
 
 def _flow_legs(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
                mean_L: float) -> tuple[_Leg, ...]:
     """Validated start, flow table and itinerary: everything t-independent."""
-    if not 0.0 <= eps0 <= 1.0:
-        raise ParamError(f"eps0: fraction {eps0!r} outside [0, 1]")
-    if not (math.isfinite(psi0) and psi0 > 0.0):
-        raise ParamError(f"psi0: population rate must be finite and positive, got {psi0!r}")
+    _check_start(eps0, psi0)
     return _itinerary(_flow_table(params, dyn, mean_L), dyn.mean_N, eps0, psi0)
 
 
@@ -315,8 +312,7 @@ def _flow(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
           t: float, mean_L: float) -> OdeState:
     if not (math.isfinite(t) and t >= 0.0):  # checked before any walk
         raise ParamError(f"t: flow time must be finite and non-negative, got {t!r}")
-    eps, psi, pinned = _state_at(_flow_legs(params, dyn, eps0, psi0, mean_L), t)
-    return OdeState(eps=eps, psi=psi, t=t, pinned=pinned)
+    return _state_at(_flow_legs(params, dyn, eps0, psi0, mean_L), t)
 
 
 def ode_solution(params: MarketParams, dyn: DynamicsParams, eps0: float,
@@ -379,7 +375,7 @@ def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float
             raise ParamError(f"{name}: round count must be a non-negative integer, got {rounds!r}")
     terms = _clock_terms(dyn.n0, l + k)
     t_kl = math.fsum(terms) - math.fsum(terms[:l])
-    return _state_at(_flow_legs(params, dyn, eps0, 1.0, 0.0), t_kl)[0]
+    return _state_at(_flow_legs(params, dyn, eps0, 1.0, 0.0), t_kl).eps
 
 
 def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
@@ -388,15 +384,12 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
 
     Independent of the closed form: integrates the raw right-hand side and
     only uses the analytic layer for the switching thresholds and drift
-    rates.  Records one row per accepted step (plus one per event landing)
-    with the clock in `t`.
+    rates.  Records one `OdeState` per accepted step (plus one per event
+    landing).
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ParamError(f"step: must be finite and positive, got {step!r}")
-    if not 0.0 <= eps0 <= 1.0:
-        raise ParamError(f"eps0: fraction {eps0!r} outside [0, 1]")
-    if not (math.isfinite(psi0) and psi0 > 0.0):
-        raise ParamError(f"psi0: population rate must be finite and positive, got {psi0!r}")
+    _check_start(eps0, psi0)
     beta, k1 = drift_rates(params, dyn)
     table = _flow_table(params, dyn, dyn.mean_L)
 
@@ -417,7 +410,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
                 psi + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4))
 
     event_edges = [s.hi for s in table.segs]
-    records = [RoundRecord(eps=eps0, psi=psi0, t=0.0)]
+    records = [OdeState(eps0, psi0, 0.0)]
     eps, psi, now = eps0, psi0, 0.0
     frozen = eps <= 0.0 or eps >= 1.0
     while now < horizon - 1e-15:
@@ -425,7 +418,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
         if frozen:
             psi = _psi_after(dyn.mean_N - table.departures_at(eps), psi, h)
             now += h
-            records.append(RoundRecord(eps=eps, psi=psi, t=now))
+            records.append(OdeState(eps, psi, now))
             continue
         e2, p2 = rk4(eps, psi, h)
         hits = [e for e in event_edges if eps < e <= e2 or e2 <= e < eps]
@@ -433,7 +426,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
             if e2 < -1e-9 or e2 > 1.0 + 1e-9:
                 raise ParamError("step: state left [0, 1]; reduce the step size")
             eps, psi, now = min(max(e2, 0.0), 1.0), p2, now + h
-            records.append(RoundRecord(eps=eps, psi=psi, t=now))
+            records.append(OdeState(eps, psi, now))
             continue
         target = min(hits) if e2 > eps else max(hits)
         up = e2 > eps
@@ -457,7 +450,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
             else:
                 seg, direction = decision
                 eps = target + math.copysign(1e-13, direction)
-        records.append(RoundRecord(eps=min(eps, 1.0), psi=psi, t=now))
+        records.append(OdeState(min(eps, 1.0), psi, now))
     return Trajectory(records=records)
 
 

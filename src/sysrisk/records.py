@@ -1,36 +1,44 @@
-"""Run records shared by the Monte-Carlo driver and the ODE integrators."""
+"""Trajectory rows: a Monte-Carlo round is a `RoundRecord`, a flow sample an `OdeState`."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One row of a trajectory.
+class RoundRecord(NamedTuple):
+    """One Monte-Carlo round; its fields are the trajectory CSV's columns, in order.
 
-    Monte-Carlo rounds fill the integer columns; ODE samples leave them None
-    and carry the flow clock in `t`.  `eps`/`psi` describe the population that
-    played the round (i.e. the state *before* the round's adaptation step);
-    the flow fields xi/Xi1/Xi2/departures are what happened during the round.
+    `n`/`n1`/`eps`/`psi` describe the population that played the round (the
+    state *before* its adaptation step); xi/Xi1/Xi2/departures are the flows
+    the round produced.  A mean return is None when its group is empty.
     """
+
+    round: int
+    n: int
+    n1: int
+    eps: float
+    psi: float
+    default_frac: float
+    xi: int           # net arrivals joining the risk-free group
+    Xi1: int          # switches into the risk-free group
+    Xi2: int          # switches out of it
+    departures: int
+    mean_r1: float | None
+    mean_r2: float | None
+
+
+class OdeState(NamedTuple):
+    """The mean-field flow's state at flow time `t`."""
 
     eps: float
     psi: float
-    round: int | None = None
-    n: int | None = None
-    n1: int | None = None
-    default_frac: float | None = None
-    xi: int | None = None           # net arrivals joining the risk-free group
-    Xi1: int | None = None          # switches into the risk-free group
-    Xi2: int | None = None          # switches out of it
-    departures: int | None = None
-    mean_r1: float | None = None
-    mean_r2: float | None = None
-    t: float | None = None
+    t: float
+    pinned: bool = False  # frozen at an interior threshold (mixed limit)
 
 
 @dataclass
 class Trajectory:
-    records: list[RoundRecord] = field(default_factory=list)
+    """One run's rows, all of one kind, and its simulation seed (None for a flow)."""
+
+    records: list[RoundRecord] | list[OdeState]
     seed: int | None = None
-    label: str = ""

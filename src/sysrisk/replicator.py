@@ -122,7 +122,7 @@ def _close_round(state: PopulationState, dyn: DynamicsParams, N_k: int, xi: int,
 
     psi = new_n / (state.round + 1 + dyn.n0)
     record = RoundRecord(
-        eps=state.eps, psi=state.psi, round=state.round, n=n, n1=n1,
+        round=state.round, n=n, n1=n1, eps=state.eps, psi=state.psi,
         default_frac=default_frac, xi=xi, Xi1=Xi1, Xi2=Xi2, departures=D,
         mean_r1=mean_r1, mean_r2=mean_r2,
     )
@@ -286,11 +286,11 @@ def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
 
 
 def run_simulation(config, seed: int) -> Trajectory:
-    """Run ``config.dynamics.rounds`` rounds and return the trajectory.
+    """Run ``config.dynamics.rounds`` rounds and return their records.
 
     ``config`` is duck-typed, like `harness.ExperimentConfig`: it must expose
-    ``market``, ``dynamics`` and a ``label``.  The seed fixes the Generator
-    stream, and so the whole run.
+    ``market`` and ``dynamics``.  The seed fixes the Generator stream, and so
+    the whole run.
     """
     params: MarketParams = config.market
     dyn: DynamicsParams = config.dynamics
@@ -300,7 +300,7 @@ def run_simulation(config, seed: int) -> Trajectory:
     for _ in range(dyn.rounds):
         state, rec = step_round(state, params, dyn, rng)
         records.append(rec)
-    return Trajectory(records=records, seed=seed, label=config.label)
+    return Trajectory(records=records, seed=seed)
 
 
 def tail_window(records: Sequence[RoundRecord]) -> Sequence[RoundRecord]:

@@ -48,7 +48,7 @@ from sysrisk.harness import (
     write_table_report,
     write_trajectories,
 )
-from sysrisk.odeflow import finite_round_estimate, ode_solution_departures
+from sysrisk.odeflow import finite_round_estimate, ode_numeric, ode_solution_departures
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,6 +167,34 @@ def test_shipped_config_stream_pins(name):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == STREAM_PINS[name]
 
 
+# SHA-256 of seed-free flow exports: the closed-form flow of each figure config from
+# its eps0 at psi = 1 over all its rounds, and table 3's first row integrated by RK4
+# to flow time 10 at step 1e-3.  They pin the flow rows and their CSV form.
+FLOW_PINS = {
+    "figure eps0=0.2": "9d7ace9c0f4745f2c41be1edffc9fe3d43225348a9999b16ef1bc33fe727ee18",
+    "figure eps0=0.5": "6d12e1620f7482c63686199a2115948f8dab4d707a1da8c4234e5d09a0e09e58",
+    "figure eps0=0.8": "9bd758bef96cdce1d94714b942f622931003f07a342d92d3d14be25e4026404e",
+    "rk4 table3 row 0": "856d18be228c9956d75e6f0a544851eadb3b43aff249143ab5b1b841e1598dcc",
+}
+
+
+def _flow_export(name: str) -> Trajectory:
+    if name.startswith("rk4"):
+        config = table3_spec(n_seeds=1).rows[0].config
+        dyn = config.dynamics
+        return ode_numeric(config.market, dyn, dyn.eps0, 1.0, 10.0, 1e-3)
+    config = next(c for c in figure_configs() if name.endswith(f"eps0={c.dynamics.eps0:g}"))
+    dyn = config.dynamics
+    return flow_curve(config, dyn.eps0, 1.0, 0, dyn.rounds)
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_PINS))
+def test_flow_export_pins(name):
+    buf = io.StringIO()
+    write_trajectories(buf, [_flow_export(name)])
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FLOW_PINS[name]
+
+
 def test_flow_export_blanks_integer_columns(mini_config):
     traj = flow_curve(mini_config, 0.95, 1.0, 0, 100, every=10)
     assert all(rec.t is not None for rec in traj.records)
@@ -222,7 +250,7 @@ def test_flow_curve_rows_equal_ode_solution(config, first):
     for rnd, rec in zip(range(first, dyn.rounds + 1, 10), curve.records):
         assert rec.t == math.fsum(terms[:rnd]) - t0
         ref = ode_solution_departures(config.market, dyn, eps0, psi0, rec.t)
-        assert (rec.eps, rec.psi) == (ref.eps, ref.psi)
+        assert rec == ref  # the whole state: eps, psi, t and pinned
         crossed = crossed or ref.pinned or abs(rec.eps - eps0) > 0.1
     assert crossed
 

@@ -44,8 +44,8 @@ def test_first_record_is_start_state(short_cfg):
     assert rec.n == short_cfg.dynamics.n0
     assert rec.n1 == round(short_cfg.dynamics.eps0 * short_cfg.dynamics.n0)
     assert traj.seed == 3
-    # a Monte-Carlo row carries no flow time
-    assert all(rec.t is None for rec in traj.records)
+    # every row of a run is a complete round record
+    assert all(isinstance(rec, RoundRecord) for rec in traj.records)
     assert len(traj.records) == short_cfg.dynamics.rounds
 
 
@@ -126,7 +126,9 @@ def test_state_is_four_numbers(imitation_market):
 
 
 def test_estimate_limit_tail_mean():
-    records = tuple(RoundRecord(eps=e, psi=1.0, round=i)
+    records = tuple(RoundRecord(round=i, n=10, n1=round(10 * e), eps=e, psi=1.0,
+                                default_frac=0.0, xi=0, Xi1=0, Xi2=0, departures=0,
+                                mean_r1=None, mean_r2=None)
                     for i, e in enumerate([0.1] * 30 + [0.5] * 10))
     traj = Trajectory(records=records)
     # the window is a tenth of the run
