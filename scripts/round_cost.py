@@ -8,7 +8,9 @@ times `replicator.step_round` over `ROUNDS` rounds three times, and prints
 the median microseconds per round.  On a sampled graph (p_ss =
 `SAMPLED_P`) it is started at each n0 in `SAMPLED_SIZES`, each in a fresh
 process, timed the same way over `SAMPLED_ROUNDS` rounds; the script prints
-the median milliseconds per round and the process's peak resident memory.
+the median milliseconds per round, the median clearing sweeps per solve over
+`SAMPLED_ROUNDS` fresh rounds drawn at the starting group sizes, and the
+process's peak resident memory.
 
     python3 scripts/round_cost.py
 """
@@ -23,7 +25,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from sysrisk.clearing import solve_clearing
 from sysrisk.harness import table4_spec
+from sysrisk.netgen import sample_network, sample_shocks
 from sysrisk.replicator import initial_state, step_round
 
 SIZES = (500, 50_000, 1_000_000)
@@ -53,12 +57,27 @@ def round_cost(config, n0: int, rounds: int = ROUNDS,
     return statistics.median(timings), state.n
 
 
-def sampled_round_cost(n0: int) -> tuple[float, int, float]:
-    """`round_cost` in milliseconds on the sampled graph, plus this process's peak RSS in MB."""
+def sampled_sweeps(market, n0: int, eps0: float) -> float:
+    """Median clearing sweeps per solve over `SAMPLED_ROUNDS` rounds at n0 agents, eps0 risk-free."""
+    rng = np.random.default_rng(0)
+    n1 = round(eps0 * n0)
+
+    def sweeps() -> int:
+        graph = sample_network(market, n1, n0 - n1, rng)
+        shocks = sample_shocks(market, n0 - n1, graph.eps, rng)
+        return solve_clearing(graph, shocks, market).iterations
+
+    return statistics.median(sweeps() for _ in range(SAMPLED_ROUNDS))
+
+
+def sampled_round_cost(n0: int) -> tuple[float, int, float, float]:
+    """`round_cost` in milliseconds on the sampled graph, this process's peak RSS
+    in MB over it, and then the median sweeps per solve (`sampled_sweeps`)."""
     config = table4_spec().rows[0].config
     config = replace(config, market=replace(config.market, p_ss=SAMPLED_P))
     cost, n_end = round_cost(config, n0, SAMPLED_ROUNDS, SAMPLED_WARMUP_ROUNDS)
-    return cost / 1e3, n_end, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return cost / 1e3, n_end, peak, sampled_sweeps(config.market, n0, config.dynamics.eps0)
 
 
 def main() -> int:
@@ -68,13 +87,13 @@ def main() -> int:
         cost, n_end = round_cost(config, n0)
         print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}")
     print(f"\nsampled graph, p_ss = {SAMPLED_P}\n"
-          f"{'n0':>9}  {'n at end':>9}  {'ms/round':>9}  {'peak MB':>9}")
+          f"{'n0':>9}  {'n at end':>9}  {'ms/round':>9}  {'sweeps':>9}  {'peak MB':>9}")
     # one fresh process per size, so that each peak is the row's own
     ctx = multiprocessing.get_context("spawn")
     for n0 in SAMPLED_SIZES:
         with ctx.Pool(1) as pool:
-            cost, n_end, peak = pool.apply(sampled_round_cost, (n0,))
-        print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}  {peak:>9.1f}")
+            cost, n_end, peak, sweeps = pool.apply(sampled_round_cost, (n0,))
+        print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}  {sweeps:>9.1f}  {peak:>9.1f}")
     return 0
 
 

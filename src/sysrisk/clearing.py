@@ -11,13 +11,24 @@ agents stay interchangeable (likewise down-shocked) and see the same total
 payment T, so each class pays a closed form of T, and T is the greatest fixed
 point of one scalar piecewise-linear map (`class_fixed_point`, shared with the
 large-network limit in `analytic`).  `class_clearing` sets it up from the
-class sizes; the count-level Monte-Carlo round calls it directly, and
-`solve_clearing` spreads its answer over the agents.  Sampled graphs iterate
-the map from full payment until no payment moves by more than 1e-10 * y; as
-only risky agents owe, each sweep sums the payments over the peer edges alone
-(one `np.bincount` over the edge list), and risk-free claims are summed once
-over the risk-free edges from the final payments.  A borrower defaults when it
-pays less than y * (1 - 1e-9) (`defaulted`); surpluses come from `surpluses`.
+class sizes and certifies each class's own residual, not just T's; the
+count-level Monte-Carlo round calls it directly, and `solve_clearing` spreads
+its answer over the agents.
+
+Sampled graphs sweep the map from full payment, X_0 = y, until no payment
+moves by more than 1e-10 * y.  From above, each sweep keeps the invariant
+X_k >= T(X_k) >= X* for every fixed point X* <= y, so the sweeps fall
+monotonely onto the greatest one.  After every two sweeps a certified jump
+(`_certified_jump`) moves X further down along the last step, by a lower
+bound on the distance still to fall: on the rows where the map stays linear
+each later step is at least r times the one before, r the least ratio of the
+last two steps, so X - X* >= r / (1 - r) times the last step there, and the
+jump keeps the invariant.  Rows with k < v may still clip at 0, so a jump
+waits until those rows stop moving.  As only risky agents owe, each sweep
+sums the payments over the peer edges alone (one `np.bincount` over the edge
+list), and risk-free claims are summed once over the risk-free edges from the
+final payments.  A borrower defaults when it pays less than y * (1 - 1e-9)
+(`defaulted`); surpluses come from `surpluses`.
 """
 from __future__ import annotations
 
@@ -27,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import MarketParams, SolverError
-from .netgen import LiabilityGraph, ShockVector
+from .netgen import Edges, LiabilityGraph, ShockVector
 
 _SLACK = 1e-12         # residual tolerance relative to y per unit weight; also the slope-1 cutoff
 _SPARSE_TOL = 1e-10    # sparse sweeps stop once no payment moves more, relative to y
@@ -38,7 +49,8 @@ _DEFAULT_TOL = 1e-9    # a borrower paying short of y by more than this share de
 @dataclass(frozen=True)
 class ClearingResult:
     X: np.ndarray        # (n2,) payments, each in [0, y]
-    iterations: int      # sweeps on a sampled graph; 1 on the complete graph (one exact solve)
+    iterations: int      # map evaluations (sweeps; jumps are free) on a sampled graph;
+                         # 1 on the complete graph (one exact solve)
     claims: np.ndarray   # (n,) received amounts per agent
 
 
@@ -66,7 +78,7 @@ class DefaultStats(NamedTuple):
 
 
 def class_fixed_point(weights: tuple[float, ...], offsets: tuple[float, ...],
-                      slope: float, y: float) -> float:
+                      slope: float, y: float, share: float = 0.0) -> float:
     """Greatest T with T = sum_c w_c * clip(a_c + slope * T, 0, y), for w_c, slope >= 0.
 
     The map is monotone and piecewise linear, with kinks where a class starts
@@ -74,6 +86,12 @@ def class_fixed_point(weights: tuple[float, ...], offsets: tuple[float, ...],
     down; a piece offers its own fixed point, clipped to it, or its top if its
     slope is 1 (then all of it is fixed or none is).  The first offer the map
     reproduces to within 1e-12 * y per unit weight is returned, else SolverError.
+    When each class member receives the share `share` of every payment but its
+    own (the complete graph's sig2), its own residual is at most
+    share * |map(T) - T|, so an offer must also keep that within 1e-12 * y.
+    A slope-1 piece whose level is off zero has no fixed point, yet its top
+    can pass the per-weight check; the class check turns it down once
+    share * |level| exceeds 1e-12 * y.
     """
     top = y * sum(weights)
 
@@ -94,7 +112,8 @@ def class_fixed_point(weights: tuple[float, ...], offsets: tuple[float, ...],
         value, gain = line(mid)
         level = value - gain * mid  # the piece is the line level + gain * T
         t = hi if abs(1.0 - gain) <= _SLACK else min(max(level / (1.0 - gain), lo), hi)
-        if abs(line(t)[0] - t) <= _SLACK * top:
+        miss = abs(line(t)[0] - t)
+        if miss <= _SLACK * top and share * miss <= _SLACK * y:
             return t
     raise SolverError(f"class clearing: no piece passes the residual check "
                       f"(weights={weights}, offsets={offsets}, slope={slope}, y={y})")
@@ -122,11 +141,78 @@ def class_clearing(y: float, w_g1: float, w_g2: float, n_u: int, n_d: int,
     sig2 = w_g2 / y
     slope = sig2 / (1.0 + sig2)
     a_u, a_d = b_u / (1.0 + sig2), b_d / (1.0 + sig2)
-    t = class_fixed_point((n_u, n_d), (a_u, a_d), slope, y)
+    t = class_fixed_point((n_u, n_d), (a_u, a_d), slope, y, sig2)
     x_u, x_d = min(max(a_u + slope * t, 0.0), y), min(max(a_d + slope * t, 0.0), y)
     total = n_u * x_u + n_d * x_d
     return ClassClearing(x_u=x_u, x_d=x_d, claims_safe=w_g1 / y * total,
                          claims_u=sig2 * (total - x_u), claims_d=sig2 * (total - x_d))
+
+
+def _sweep_from_above(peers: Edges, k: np.ndarray, v: float, sig2: float,
+                      y: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Greatest fixed point of X = clip(k + sig2 * A X - v, 0, y) on a sampled graph.
+
+    A is the peer edge list's (creditor, borrower) indicator and sig2 the share
+    of a payment that each linked peer receives.  Sweeps run from X = y with a
+    certified jump after every two (`_certified_jump`); returns the payments,
+    what each borrower receives from its peers at them, and the number of map
+    evaluations.
+    """
+    n2 = len(k)
+    # the edges are sorted by borrower, so repeating each payment by its borrower's
+    # out-degree lays it along the edges, more cheaply than the gather X[peers.borrower]
+    out_degree = np.bincount(peers.borrower, minlength=n2)
+    never_zero = k >= v  # rows whose pre-clip value stays >= 0 for every X >= 0
+    X, new, pre, g, h = (np.full(n2, y), *(np.empty(n2) for _ in range(4)))
+    linear, below_y = np.empty(n2, dtype=bool), np.empty(n2, dtype=bool)
+    for iterations in range(1, _SPARSE_CAP + 1):
+        owed_in = sig2 * np.bincount(peers.creditor, weights=np.repeat(X, out_degree),
+                                     minlength=n2)
+        np.add(k, owed_in, out=pre)
+        pre -= v
+        np.clip(pre, 0.0, y, out=new)
+        np.subtract(X, new, out=h)
+        if np.abs(h).max() <= _SPARSE_TOL * y:
+            break  # keep X: its residual is the one just measured
+        X, new = new, X
+        np.less_equal(pre, y, out=below_y)
+        if iterations % 2:  # the first sweep of a pair: keep its step
+            g, h = h, g
+            np.logical_and(never_zero, below_y, out=linear)
+        else:
+            linear &= below_y
+            _certified_jump(X, g, h, linear, new)  # new holds the spent X
+    else:
+        raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} sweeps")
+    return X, owed_in, iterations
+
+
+def _certified_jump(X: np.ndarray, g: np.ndarray, h: np.ndarray, linear: np.ndarray,
+                    scratch: np.ndarray) -> None:
+    """Move X = X_{k+2} down toward the greatest fixed point, never past it.
+
+    g = X_k - X_{k+1} and h = X_{k+1} - X_{k+2} are two consecutive sweep
+    steps from above, and on the rows R of `linear` (k >= v, pre-clip value
+    <= y in both sweeps) the map stays linear, X -> b + N X with N >= 0, for
+    every X below X_{k+1}.  If g vanishes off R, then N g = h on R; with r the
+    least ratio h_i / g_i over the rows of R where g > 0, h >= r g gives
+    N^m h >= r^m h (Collatz-Wielandt), so X_{k+2} - X* >= r / (1 - r) * h on R
+    for every fixed point X* <= y.  Subtracting that keeps X above X* and its
+    sweeps monotone.  `scratch` is overwritten: with no float temporaries the
+    sampled rounds' peak memory stays at the plain sweeps' level.
+    """
+    if np.any(g, where=~linear):
+        return
+    moving = linear & (g > 0.0)
+    np.divide(h, g, out=scratch, where=moving)
+    r = float(scratch.min(where=moving, initial=np.inf))
+    if not 0.0 < r < 1.0:
+        return
+    np.multiply(g, r, out=scratch)
+    if np.any(h < scratch, where=linear):
+        return
+    np.multiply(h, r / (1.0 - r), out=scratch)
+    np.subtract(X, scratch, out=X, where=linear)
 
 
 def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
@@ -146,21 +232,8 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
         owed_in = np.where(shocks.up, cc.claims_u, cc.claims_d)
         iterations = 1
     else:
-        peers, safe = graph.peers, graph.safe
-        sig2 = graph.w_g2 / y  # the share of a payment that each linked peer receives
-        # the edges are sorted by borrower, so repeating each payment by its borrower's
-        # out-degree lays it along the edges, more cheaply than the gather X[peers.borrower]
-        out_degree = np.bincount(peers.borrower, minlength=n2)
-        X = np.full(n2, y)
-        for iterations in range(1, _SPARSE_CAP + 1):
-            owed_in = sig2 * np.bincount(peers.creditor, weights=np.repeat(X, out_degree),
-                                         minlength=n2)
-            new = np.clip(shocks.k + owed_in - v, 0.0, y)
-            if np.abs(new - X).max() <= _SPARSE_TOL * y:
-                break  # keep X: its residual is the one just measured
-            X = new
-        else:
-            raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} sweeps")
+        X, owed_in, iterations = _sweep_from_above(graph.peers, shocks.k, v, graph.w_g2 / y, y)
+        safe = graph.safe
         safe_in = graph.w_g1 / y * np.bincount(safe.creditor, weights=X[safe.borrower],
                                                minlength=n1)
     return ClearingResult(X=X, iterations=iterations, claims=np.concatenate([safe_in, owed_in]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,7 @@ def _check_against_regimes(y, w_g2, n_u, n_d, b_u, b_d):
 @example(n2=5, up=1.0, c=0.7, y=10.0, b_u=0.5, b_d=-0.3)        # the down class is empty
 @example(n2=500, up=0.8, c=1.0, y=10.0, b_u=0.01, b_d=-0.04)    # slope * sum(w) == 1
 @example(n2=10**6, up=0.8, c=0.999, y=1476.3, b_u=0.006, b_d=-0.03)
+@example(n2=2, up=0.0, c=1.0, y=1.0, b_u=0.0, b_d=-1.0146e-12)  # a slope-1 top off by ~1e-12 * y
 def test_class_clearing_matches_nine_regimes(n2, up, c, y, b_u, b_d):
     # shares of y: b_c is a net proceed, c the row sum of the peer map (c = 1 at eps = 0)
     n_u = round(up * n2)
@@ -376,3 +378,97 @@ def test_greatest_of_many_fixed_points():
     assert_allclose(res.X, [10.0, 10.0, 8.0], rtol=0, atol=1e-12)
     assert _residual(g, s, market, res.X) <= 1e-12
     assert_allclose(_oracle_greatest(g, s, market), res.X, rtol=0, atol=1e-12)
+
+
+def _plain_sweeps(g, s, params):
+    """Sampled-graph clearing by plain sweeps from full payment, with no jump.
+
+    The same arithmetic, in the same order, as the solver's sweeps, so a solve
+    in which no jump fires matches it bit for bit: (payments, sweeps).
+    """
+    y, peers = g.y, g.peers
+    X = np.full(g.n2, y)
+    for sweeps in itertools.count(1):
+        owed_in = g.w_g2 / y * np.bincount(peers.creditor, weights=X[peers.borrower],
+                                           minlength=g.n2)
+        new = np.clip(s.k + owed_in - params.v, 0.0, y)
+        if np.abs(new - X).max() <= 1e-10 * y:
+            return X, sweeps
+        X = new
+
+
+def _dense_greatest(g, s, params):
+    """Greatest clearing vector by dense sweeps from full payment, to a step of 1e-14 * y.
+
+    Rebuilds the peer matrix from the edge lists and shares no code with the solver.
+    """
+    A, b, y = _peer_shares(g), s.k - params.v, g.y
+    X = np.full(g.n2, y)
+    while True:
+        new = np.clip(b + A @ X, 0.0, y)
+        if np.abs(new - X).max() <= 1e-14 * y:
+            return new
+        X = new
+
+
+def _sampled_round(market, n, eps, seed):
+    rng = np.random.default_rng(seed)
+    n1 = round(eps * n)
+    g = sample_network(market, n1, n - n1, rng)
+    return g, sample_shocks(market, n - n1, g.eps, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 300), p_ss=st.floats(0.1, 0.9), eps=st.floats(0.05, 0.9),
+       above=st.booleans(), share=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_sampled_jumps_stay_above_greatest_fixed_point(n, p_ss, eps, above, share, seed):
+    # v below k_d lets every row jump; above it (up to the cap w (1 + u)) the
+    # down-shocked rows may clip at 0
+    k_d, cap = derive(SYSTEMIC, round(eps * n) / n).k_d, SYSTEMIC.w * (1 + SYSTEMIC.u)
+    market = replace(SYSTEMIC, v=k_d + share * (cap - k_d) if above else share * k_d, p_ss=p_ss)
+    g, s = _sampled_round(market, n, eps, seed)
+    assume(g.n2 >= 2)
+    res = solve_clearing(g, s, market)
+    assert np.all(res.X >= _dense_greatest(g, s, market) - 1e-12 * g.y)
+    assert _residual(g, s, market, res.X) <= 2e-10
+
+
+def test_sampled_systemic_market_keeps_plain_sweeps():
+    # at v = 70 down-shocked borrowers have k < v and pay part of y while they
+    # move, which blocks every jump: the solve is the plain sweeps, bit for bit
+    market = replace(SYSTEMIC, p_ss=0.1)
+    g, s = _sampled_round(market, 400, 0.3, 5)
+    res = solve_clearing(g, s, market)
+    X, sweeps = _plain_sweeps(g, s, market)
+    assert res.iterations == sweeps > 20
+    assert np.array_equal(res.X, X)
+
+
+def test_sampled_jumps_cut_sweeps():
+    # the benchmark's sampled market (n = 2000, p_ss = 0.1): the certified jumps
+    # must save at least a quarter of the plain sweeps
+    market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
+                          u=0.13, d=-0.6, r_s=0.1, r_b=0.11, p_ss=0.1)
+    g, s = _sampled_round(market, 2000, 0.4, 0)
+    res = solve_clearing(g, s, market)
+    X, sweeps = _plain_sweeps(g, s, market)
+    assert res.iterations <= 0.75 * sweeps
+    assert _residual(g, s, market, res.X) <= 2e-10
+
+
+def test_jump_waits_for_rows_that_may_clip_at_zero():
+    # complete peer edge lists over five borrowers at c = 0.9: three pay 16 - v = 1
+    # net, two 11 - v = -4.  By hand the down pair pays nothing and the up trio
+    # x = 1 + 0.225 * 2x, so x = 20/11.  The down rows pay part of y for a few
+    # sweeps and then clip at 0, which the linear bound does not foresee, so a
+    # jump taken across them would land below the greatest fixed point
+    market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
+                          u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
+    peers, safe = _full_edges(0, 5)
+    g = LiabilityGraph(n1=0, n2=5, y=10.0, eps=0.0, w_g1=0.0, w_g2=0.9 / 4 * 10.0,
+                       peers=peers, safe=safe)
+    up = np.array([True, True, True, False, False])
+    s = ShockVector(k=np.where(up, 16.0, 11.0), up=up, k_u=16.0, k_d=11.0)
+    res = solve_clearing(g, s, market)
+    assert np.all(res.X >= np.where(up, 20 / 11, 0.0) - 1e-12 * g.y)
+    assert _residual(g, s, market, res.X) <= 2e-10
