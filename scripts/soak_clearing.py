@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Soak the clearing property tests: fresh Hypothesis seeds, more examples each.
+"""Soak the property tests: fresh Hypothesis seeds, more examples each.
 
-The tier-1 suite runs each Hypothesis test of `tests/test_clearing.py` under
-one random seed with a modest `max_examples`, so a narrow failing band is
-found only as a rare flake.  This script runs those tests under the seeds
-FIRST_SEED, FIRST_SEED + 1, ... (`SEEDS` of them), each with `EXAMPLES_FACTOR`
-times its own `max_examples` and no example database, so every seed is a
-fresh search.  The tests' own settings and bounds are untouched.  It prints
-one line per seed and exits 1 if any seed failed; a failing seed's
-falsifying example is in the pytest output above its line.
+The tier-1 suite runs each Hypothesis test under one random seed with a
+modest `max_examples`, so a narrow failing band is found only as a rare
+flake.  This script runs every Hypothesis test of the files in `TESTS`
+(every test file in `tests/`) under the seeds FIRST_SEED, FIRST_SEED + 1,
+... (`SEEDS` of them), each with `EXAMPLES_FACTOR` times its own
+`max_examples` and no example database, so every seed is a fresh search.
+The tests' own settings and bounds are untouched.  It prints one line per
+seed and exits 1 if any seed failed; a failing seed's falsifying example is
+in the pytest output above its line.
 
     PYTHONPATH=src python3 scripts/soak_clearing.py
 """
@@ -23,7 +24,8 @@ import pytest
 FIRST_SEED = 1000
 SEEDS = 200
 EXAMPLES_FACTOR = 4
-TESTS = Path(__file__).resolve().parent.parent / "tests" / "test_clearing.py"
+TESTS = tuple(str(path) for path in
+              sorted((Path(__file__).resolve().parent.parent / "tests").glob("test_*.py")))
 
 
 class _Soak:
@@ -48,7 +50,7 @@ def main() -> int:
     for seed in range(FIRST_SEED, FIRST_SEED + SEEDS):
         start = time.perf_counter()
         code = pytest.main(["-q", "--no-header", "-p", "no:cacheprovider",
-                            f"--hypothesis-seed={seed}", str(TESTS)], plugins=[soak])
+                            f"--hypothesis-seed={seed}", *TESTS], plugins=[soak])
         if code != 0:
             failed.append(seed)
         print(f"seed {seed}: {'ok' if code == 0 else 'FAILED'} "

@@ -32,6 +32,7 @@ final payments.  A borrower defaults when it pays less than y * (1 - 1e-9)
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +42,7 @@ from .model import MarketParams, SolverError
 from .netgen import Edges, LiabilityGraph, ShockVector
 
 _SLACK = 1e-12         # residual tolerance relative to y per unit weight; also the slope-1 cutoff
+_ROUNDING = 4 * sys.float_info.epsilon  # a level this small, relative to its terms, is zero
 _SPARSE_TOL = 1e-10    # sparse sweeps stop once no payment moves more, relative to y
 _SPARSE_CAP = 100_000  # sparse sweeps allowed before giving up
 _DEFAULT_TOL = 1e-9    # a borrower paying short of y by more than this share defaults
@@ -77,42 +79,46 @@ class DefaultStats(NamedTuple):
     degenerate: bool = False
 
 
-def class_fixed_point(weights: tuple[float, ...], offsets: tuple[float, ...],
+def class_fixed_point(weights: tuple[float, float], offsets: tuple[float, float],
                       slope: float, y: float, share: float = 0.0) -> float:
-    """Greatest T with T = sum_c w_c * clip(a_c + slope * T, 0, y), for w_c, slope >= 0.
+    """Greatest T with T = sum_c w_c * clip(a_c + slope * T, 0, y) over classes c = u, d.
 
-    The map is monotone and piecewise linear, with kinks where a class starts
-    or stops paying part of y.  Its pieces are scanned from T = y * sum_c w_c
-    down; a piece offers its own fixed point, clipped to it, or its top if its
-    slope is 1 (then all of it is fixed or none is).  The first offer the map
-    reproduces to within 1e-12 * y per unit weight is returned, else SolverError.
-    When each class member receives the share `share` of every payment but its
-    own (the complete graph's sig2), its own residual is at most
-    share * |map(T) - T|, so an offer must also keep that within 1e-12 * y.
-    A slope-1 piece whose level is off zero has no fixed point, yet its top
-    can pass the per-weight check; the class check turns it down once
-    share * |level| exceeds 1e-12 * y.
+    For w_c, slope >= 0 the map is monotone and piecewise linear, with kinks
+    where a class starts or stops paying part of y.  Its pieces are scanned from
+    T = y * (w_u + w_d) down; a piece offers its fixed point, clipped to it, or
+    its top if its slope is 1, and the first offer the map reproduces to within
+    1e-12 * y per unit weight is returned, else SolverError.  An offer must also
+    keep share * |map(T) - T| within 1e-12 * y: with `share` the complete graph's
+    sig2, that bounds each class member's own residual.  A residual cannot judge
+    a slope-1 piece: where every class with weight pays, map(T) - T <= level,
+    so a level below zero beyond rounding starts the scan where one stops.
     """
-    top = y * sum(weights)
-
-    def line(t: float) -> tuple[float, float]:  # the map at t, and its slope around t
-        value = gain = 0.0
-        for w, a in zip(weights, offsets):
-            pay = a + slope * t
-            if pay >= y:
-                value += w * y
-            elif not pay <= 0.0:  # part of y; so is a NaN, which then fails the check
-                value, gain = value + w * pay, gain + w * slope
-        return value, gain
-
-    kinks = (t for a in offsets for t in (-a / slope, (y - a) / slope)) if slope > 0.0 else ()
-    knots = [top, *sorted((t for t in kinks if 0.0 < t < top), reverse=True), 0.0]
+    (w_u, w_d), (a_u, a_d) = weights, offsets
+    top = head = y * (w_u + w_d)
+    level = w_u * a_u + w_d * a_d  # the map is T + level where both classes pay part of y
+    if (abs(1.0 - (w_u * slope + w_d * slope)) <= _SLACK  # ... if its slope there is 1
+            and level < -_ROUNDING * (w_u * abs(a_u) + w_d * abs(a_d))):
+        low = min(a_u, a_d) if w_u > 0.0 < w_d else a_u if w_u > 0.0 else a_d
+        head = min(top, -low / slope)  # above it every class with weight pays
+    kinks = [t for t in (-a_u / slope, (y - a_u) / slope, -a_d / slope, (y - a_d) / slope)
+             if 0.0 < t < head] if slope > 0.0 else []
+    knots = [head, *sorted(kinks, reverse=True), 0.0]
     for hi, lo in zip(knots, knots[1:]):
+        # a class pays y, 0 or part of y (so does a NaN, which then fails the check)
         mid = 0.5 * (lo + hi)
-        value, gain = line(mid)
-        level = value - gain * mid  # the piece is the line level + gain * T
-        t = hi if abs(1.0 - gain) <= _SLACK else min(max(level / (1.0 - gain), lo), hi)
-        miss = abs(line(t)[0] - t)
+        pay_u, pay_d = a_u + slope * mid, a_d + slope * mid
+        gain = ((0.0 if pay_u >= y or pay_u <= 0.0 else w_u * slope)  # the map's slope at mid
+                + (0.0 if pay_d >= y or pay_d <= 0.0 else w_d * slope))
+        if abs(1.0 - gain) <= _SLACK:  # all or none of the piece is fixed
+            t = hi
+        else:  # the piece is the line level + gain * T; clip its fixed point to it
+            t = ((w_u * y if pay_u >= y else 0.0 if pay_u <= 0.0 else w_u * pay_u)
+                 + (w_d * y if pay_d >= y else 0.0 if pay_d <= 0.0 else w_d * pay_d)
+                 - gain * mid) / (1.0 - gain)
+            t = lo if lo > t else hi if hi < t else t  # min(max(t, lo), hi), NaN kept
+        pay_u, pay_d = a_u + slope * t, a_d + slope * t
+        miss = abs((w_u * y if pay_u >= y else 0.0 if pay_u <= 0.0 else w_u * pay_u)
+                   + (w_d * y if pay_d >= y else 0.0 if pay_d <= 0.0 else w_d * pay_d) - t)
         if miss <= _SLACK * top and share * miss <= _SLACK * y:
             return t
     raise SolverError(f"class clearing: no piece passes the residual check "
@@ -144,8 +150,7 @@ def class_clearing(y: float, w_g1: float, w_g2: float, n_u: int, n_d: int,
     t = class_fixed_point((n_u, n_d), (a_u, a_d), slope, y, sig2)
     x_u, x_d = min(max(a_u + slope * t, 0.0), y), min(max(a_d + slope * t, 0.0), y)
     total = n_u * x_u + n_d * x_d
-    return ClassClearing(x_u=x_u, x_d=x_d, claims_safe=w_g1 / y * total,
-                         claims_u=sig2 * (total - x_u), claims_d=sig2 * (total - x_d))
+    return ClassClearing(x_u, x_d, w_g1 / y * total, sig2 * (total - x_u), sig2 * (total - x_d))
 
 
 def _sweep_from_above(peers: Edges, k: np.ndarray, v: float, sig2: float,
@@ -244,24 +249,26 @@ def defaulted(X, y: float):
     return X < y * (1.0 - _DEFAULT_TOL)
 
 
-def surpluses(params: MarketParams, eps: float, y: float, claims_safe, k, claims_risky):
+def surpluses(params: MarketParams, eps: float, y: float, claims_safe, *risky):
     """Risk-free and risky surpluses after clearing, clamped at limited liability.
 
     A risk-free agent earns its endowment's return plus its claims, a risky one
-    its proceeds `k` plus its claims less its debt y; both pay v first.  Takes
-    one scalar per class or one array entry per agent, at risk-free share eps.
+    its proceeds `k` plus its claims less its debt y; both pay v first.  Returns
+    the risk-free surplus, then one per (k, claims) pair of `risky`.  Takes arrays,
+    one entry per agent, or floats, one per class, which `max` clamps cheaply.
     """
     v = params.v
-    return (np.maximum(params.w * eps * (1 + params.r_s) + claims_safe - v, 0.0),
-            np.maximum(k + claims_risky - v - y, 0.0))
+    clamp = np.maximum if isinstance(claims_safe, np.ndarray) else max
+    return (clamp(params.w * eps * (1 + params.r_s) + claims_safe - v, 0.0),
+            *[clamp(k + claims - v - y, 0.0) for k, claims in risky])
 
 
 def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,
                     shocks: ShockVector, params: MarketParams) -> ReturnsVector:
     """Per-agent surpluses after clearing, clamped at limited liability."""
     n1 = graph.n1
-    r1, r2 = surpluses(params, graph.eps, graph.y, clearing.claims[:n1], shocks.k,
-                       clearing.claims[n1:])
+    r1, r2 = surpluses(params, graph.eps, graph.y, clearing.claims[:n1],
+                       (shocks.k, clearing.claims[n1:]))
     defaults = np.flatnonzero(defaulted(clearing.X, graph.y))
     return ReturnsVector(r=np.concatenate([r1, r2]), n1=n1, defaults=defaults)
 

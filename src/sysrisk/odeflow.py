@@ -385,7 +385,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
     Independent of the closed form: integrates the raw right-hand side and
     only uses the analytic layer for the switching thresholds and drift
     rates.  Records one `OdeState` per accepted step (plus one per event
-    landing).
+    landing); once frozen at an interior threshold its rows are `pinned`.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ParamError(f"step: must be finite and positive, got {step!r}")
@@ -401,44 +401,50 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
         de = (kappa * eps * (1.0 - eps) + eps * dep) / psi
         return de, (dyn.mean_N - dep) - psi
 
-    def rk4(eps: float, psi: float, h: float) -> tuple[float, float]:
+    def rk4(eps: float, psi: float, h: float) -> tuple[float, float, bool]:
         a1, b1 = rhs(eps, psi)
         a2, b2 = rhs(eps + 0.5 * h * a1, psi + 0.5 * h * b1)
         a3, b3 = rhs(eps + 0.5 * h * a2, psi + 0.5 * h * b2)
         a4, b4 = rhs(eps + h * a3, psi + h * b3)
         return (eps + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4),
-                psi + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4))
+                psi + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4),
+                a1 * a2 < 0.0 or a1 * a3 < 0.0 or a1 * a4 < 0.0)  # a stage's drift turned
 
     event_edges = [s.hi for s in table.segs]
     records = [OdeState(eps0, psi0, 0.0)]
     eps, psi, now = eps0, psi0, 0.0
-    frozen = eps <= 0.0 or eps >= 1.0
+    frozen, pinned = eps <= 0.0 or eps >= 1.0, False
     while now < horizon - 1e-15:
         h = min(step, horizon - now)
         if frozen:
             psi = _psi_after(dyn.mean_N - table.departures_at(eps), psi, h)
             now += h
-            records.append(OdeState(eps, psi, now))
+            records.append(OdeState(eps, psi, now, pinned))
             continue
-        e2, p2 = rk4(eps, psi, h)
+        e2, p2, turned = rk4(eps, psi, h)
+        up = e2 > eps
         hits = [e for e in event_edges if eps < e <= e2 or e2 <= e < eps]
+        if turned and not hits:  # a stage crossed the edge ahead: land on it if it pins the flow
+            ahead_up = rhs(eps, psi)[0] > 0.0
+            ahead = [e for e in event_edges if (eps < e) == ahead_up and e < 1.0]
+            if ahead and _locate(table.segs, min(ahead) if ahead_up else max(ahead)) is None:
+                hits, up = ahead, ahead_up
         if not hits:
             if e2 < -1e-9 or e2 > 1.0 + 1e-9:
                 raise ParamError("step: state left [0, 1]; reduce the step size")
             eps, psi, now = min(max(e2, 0.0), 1.0), p2, now + h
             records.append(OdeState(eps, psi, now))
             continue
-        target = min(hits) if e2 > eps else max(hits)
-        up = e2 > eps
+        target = min(hits) if up else max(hits)
         lo_t, hi_t = 0.0, h
         while hi_t - lo_t > 1e-12:
             mid = 0.5 * (lo_t + hi_t)
-            em, _ = rk4(eps, psi, mid)
+            em = rk4(eps, psi, mid)[0]
             if (em >= target) if up else (em <= target):
                 hi_t = mid
             else:
                 lo_t = mid
-        _, psi = rk4(eps, psi, hi_t)
+        psi = rk4(eps, psi, hi_t)[1]
         now += hi_t
         eps = target
         if target >= 1.0:
@@ -446,11 +452,10 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
         else:
             decision = _locate(table.segs, target)
             if decision is None:
-                frozen = True  # pinned at the threshold
-            else:
-                seg, direction = decision
-                eps = target + math.copysign(1e-13, direction)
-        records.append(OdeState(min(eps, 1.0), psi, now))
+                frozen = pinned = True
+            else:  # step off the edge in the flow's direction
+                eps = target + math.copysign(1e-13, decision[1])
+        records.append(OdeState(min(eps, 1.0), psi, now, pinned))
     return Trajectory(records=records)
 
 

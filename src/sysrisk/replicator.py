@@ -121,11 +121,8 @@ def _close_round(state: PopulationState, dyn: DynamicsParams, N_k: int, xi: int,
         raise RuntimeError(f"round {state.round}: negative group sizes {new_n1}, {new_n2}")
 
     psi = new_n / (state.round + 1 + dyn.n0)
-    record = RoundRecord(
-        round=state.round, n=n, n1=n1, eps=state.eps, psi=state.psi,
-        default_frac=default_frac, xi=xi, Xi1=Xi1, Xi2=Xi2, departures=D,
-        mean_r1=mean_r1, mean_r2=mean_r2,
-    )
+    record = RoundRecord(state.round, n, n1, n1 / n, state.psi, default_frac,  # in CSV order
+                         xi, Xi1, Xi2, D, mean_r1, mean_r2)
     return PopulationState(round=state.round + 1, n1=new_n1, n2=new_n2, psi=psi), record
 
 
@@ -196,8 +193,8 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
     n_u = _thin(rng_stream, n2, params.delta)
     n_d = n2 - n_u
     cc = class_clearing(der.y, *edge_weights(params, n1, n2), n_u, n_d, der.w_high, der.w_low)
-    r1, r_u = surpluses(params, der.eps, der.y, cc.claims_safe, der.k_u, cc.claims_u)
-    r_d = surpluses(params, der.eps, der.y, cc.claims_safe, der.k_d, cc.claims_d)[1]
+    r1, r_u, r_d = surpluses(params, der.eps, der.y, cc.claims_safe,
+                             (der.k_u, cc.claims_u), (der.k_d, cc.claims_d))
     down_u, down_d = defaulted(cc.x_u, der.y), defaulted(cc.x_d, der.y)
 
     # -- switching: a risk-free attempter moves when its contact is risky and seen
@@ -225,9 +222,8 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
                (n1 * (n1 - 1) + 2 * n1 * (n_u * t_u + n_d * t_d)) / (n * (n - 1)))
 
     return _close_round(state, dyn, N_k, xi, Xi1_u + Xi1_d, Xi2, D,
-                        (n_u * down_u + n_d * down_d) / n,
-                        float(r1) if n1 else None,
-                        float(n_u * r_u + n_d * r_d) / n2 if n2 else None)
+                        (n_u * down_u + n_d * down_d) / n, r1 if n1 else None,
+                        (n_u * r_u + n_d * r_d) / n2 if n2 else None)
 
 
 def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,

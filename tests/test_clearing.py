@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -227,7 +228,7 @@ def _oracle_greatest(g, s, params):
     return best
 
 
-def _nine_regime_oracle(b, m, y):
+def _nine_regime_oracle(b, m, y, sizes):
     """Greatest (x_u, x_d) in [0, y]^2 with x_i = clip(b_i + sum_j m_ij x_j, 0, y).
 
     `m` is non-negative, so the map is monotone and has a greatest fixed point.
@@ -235,14 +236,25 @@ def _nine_regime_oracle(b, m, y):
     nine regime assignments are solved by Cramer's rule, and the greatest
     solution the map reproduces to within 1e-12 * y is returned with the count
     of systems solved.  Raises SolverError if no solution passes that check.
-    Shares no code with the scalar kernel under test.
+    Where every class with members pays part of y the system is (I - m) x = b.
+    When that is singular (c = 1 at eps = 0) the class sizes n, a left
+    eigenvector of m, give n . x <= n . (b + m x) = n . b + n . x at a fixed
+    point where no such class pays 0.  So a level n . b below zero beyond
+    rounding rules out every regime in which all of them pay, however small
+    its residual.  Shares no code with the scalar kernel under test.
     """
-    (m_uu, m_ud), (m_du, m_dd), (b_u, b_d) = *m, b
+    (m_uu, m_ud), (m_du, m_dd), (b_u, b_d), (n_u, n_d) = *m, b, sizes
     slack, best, solves = 1e-12 * y, None, 0
+    singular = abs((1.0 - m_uu) * (1.0 - m_dd) - m_ud * m_du) <= 1e-12
+    rounding = 4 * sys.float_info.epsilon * (n_u * abs(b_u) + n_d * abs(b_d))
+    all_pay_ruled_out = singular and n_u * b_u + n_d * b_d < -rounding
     # each class's equation (a . x = r) when it pays 0, part, or y
     eqs_u = ((1.0, 0.0, 0.0), (1.0 - m_uu, -m_ud, b_u), (1.0, 0.0, y))
     eqs_d = ((0.0, 1.0, 0.0), (-m_du, 1.0 - m_dd, b_d), (0.0, 1.0, y))
-    for (a_uu, a_ud, r_u), (a_du, a_dd, r_d) in itertools.product(eqs_u, eqs_d):
+    for (pay_u, (a_uu, a_ud, r_u)), (pay_d, (a_du, a_dd, r_d)) in itertools.product(
+            enumerate(eqs_u), enumerate(eqs_d)):
+        if all_pay_ruled_out and not ((n_u and not pay_u) or (n_d and not pay_d)):
+            continue
         det = a_uu * a_dd - a_ud * a_du
         if abs(det) <= 1e-12:  # singular (c = 1 at eps = 0): no solution or a
             continue           # line of them, whose ends other regimes reach
@@ -266,7 +278,7 @@ def _check_against_regimes(y, w_g2, n_u, n_d, b_u, b_d):
     # an empty shock class is dropped: zero its row, and its column is zero already
     row_u = (sig2 * (n_u - 1), sig2 * n_d) if n_u else (0.0, 0.0)
     row_d = (sig2 * n_u, sig2 * (n_d - 1)) if n_d else (0.0, 0.0)
-    ref = _nine_regime_oracle((b_u, b_d), (row_u, row_d), y)
+    ref = _nine_regime_oracle((b_u, b_d), (row_u, row_d), y, (n_u, n_d))
     for n_c, x, x_ref, b, (m_u, m_d) in ((n_u, cc.x_u, ref[0], b_u, row_u),
                                          (n_d, cc.x_d, ref[1], b_d, row_d)):
         if n_c:
@@ -284,6 +296,12 @@ def _check_against_regimes(y, w_g2, n_u, n_d, b_u, b_d):
 @example(n2=500, up=0.8, c=1.0, y=10.0, b_u=0.01, b_d=-0.04)    # slope * sum(w) == 1
 @example(n2=10**6, up=0.8, c=0.999, y=1476.3, b_u=0.006, b_d=-0.03)
 @example(n2=2, up=0.0, c=1.0, y=1.0, b_u=0.0, b_d=-1.0146e-12)  # a slope-1 top off by ~1e-12 * y
+@example(n2=2, up=0.5, c=1.0, y=1.0, b_u=0.0, b_d=-1.374e-12)   # ... with both classes nonempty
+@example(n2=2, up=0.5, c=1.0, y=1.0, b_u=0.0, b_d=-1.089e-12)
+@example(n2=2, up=0.5, c=1.0, y=1.0, b_u=0.0, b_d=-5e-13)
+@example(n2=2, up=0.5, c=1.0, y=1.0, b_u=0.3, b_d=-0.3 - 4e-13)  # a clipped offer at that top
+@example(n2=2, up=0.0, c=1.0, y=1.0, b_u=0.0, b_d=-2.225073858507e-311)  # subnormal levels
+@example(n2=2, up=0.0, c=1.0, y=1.0, b_u=0.0, b_d=2.225073858507e-311)
 def test_class_clearing_matches_nine_regimes(n2, up, c, y, b_u, b_d):
     # shares of y: b_c is a net proceed, c the row sum of the peer map (c = 1 at eps = 0)
     n_u = round(up * n2)
@@ -308,6 +326,20 @@ def test_frozen_systemic_states(n_u, x_u_share):
     cc = _check_against_regimes(der.y, w_g2, n_u, n2 - n_u, der.w_high, der.w_low)
     assert cc.x_d == 0.0
     assert cc.x_u == pytest.approx(x_u_share * der.y, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.integers(2, 5000).flatmap(lambda n2: st.tuples(st.just(n2), st.integers(0, n2))))
+@example(sizes=(2, 0))
+@example(sizes=(2, 2))
+@example(sizes=(5000, 0))
+@example(sizes=(5000, 5000))
+def test_frozen_systemic_rounds_match_nine_regimes(sizes):
+    # every round of a frozen systemic run clears at eps = 0, on the slope-1 map
+    n2, n_u = sizes
+    der = derive(SYSTEMIC, 0.0)
+    _check_against_regimes(der.y, edge_weights(SYSTEMIC, 0, n2)[1], n_u, n2 - n_u,
+                           der.w_high, der.w_low)
 
 
 def test_slope_one_pieces():

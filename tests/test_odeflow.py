@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, ParamError
 from sysrisk.analytic import drift_rates
+from sysrisk.harness import table2_spec
 from sysrisk.odeflow import (
     DegenerateFlowError,
     _cross_time,
@@ -21,6 +22,7 @@ from sysrisk.odeflow import (
     ode_numeric,
     ode_solution,
     ode_solution_departures,
+    round_clock,
 )
 
 
@@ -97,6 +99,21 @@ def test_rk4_matches_closed_form(imitation_market, imitation_dynamics,
                                       0.4, 1.0, rec.t)
         assert abs(rec.eps - ref.eps) <= 1e-5
         assert abs(rec.psi - ref.psi) <= 1e-5
+
+
+def test_rk4_rows_pinned_as_the_closed_form():
+    # table 2's b = 0.4, delta = 0.85, eps0 = 0.8 cell to its 1 000-round horizon: the
+    # flow rises onto the threshold eps_bar and stays, pinned.  RK4's stages cross it a
+    # step before the landing and turn back; that step lands on it instead of stepping
+    # back down, and every row from there on is pinned, as the closed form's rows are
+    config = table2_spec(n_seeds=1).rows[2].config
+    dyn = config.dynamics
+    traj = ode_numeric(config.market, dyn, dyn.eps0, 1.0, round_clock(dyn.n0, dyn.rounds), 1e-3)
+    refs = [ode_solution_departures(config.market, dyn, dyn.eps0, 1.0, rec.t)
+            for rec in traj.records]
+    assert [rec.pinned for rec in traj.records] == [ref.pinned for ref in refs]
+    assert 0 < sum(rec.pinned for rec in traj.records) < len(traj.records)
+    assert max(abs(rec.eps - ref.eps) for rec, ref in zip(traj.records, refs)) <= 1e-12
 
 
 @pytest.mark.parametrize("b, delta, eps0, expected", [
