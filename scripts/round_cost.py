@@ -8,9 +8,9 @@ times `replicator.step_round` over `ROUNDS` rounds three times, and prints
 the median microseconds per round.  On a sampled graph (p_ss =
 `SAMPLED_P`) it is started at each n0 in `SAMPLED_SIZES`, each in a fresh
 process, timed the same way over `SAMPLED_ROUNDS` rounds; the script prints
-the median milliseconds per round, the median clearing sweeps per solve over
-`SAMPLED_ROUNDS` fresh rounds drawn at the starting group sizes, and the
-process's peak resident memory.
+the median milliseconds per round, the median clearing map evaluations per
+solve over `SAMPLED_ROUNDS` fresh rounds drawn at the starting group sizes,
+and the process's peak resident memory.
 
     python3 scripts/round_cost.py
 """
@@ -58,7 +58,8 @@ def round_cost(config, n0: int, rounds: int = ROUNDS,
 
 
 def sampled_sweeps(market, n0: int, eps0: float) -> float:
-    """Median clearing sweeps per solve over `SAMPLED_ROUNDS` rounds at n0 agents, eps0 risk-free."""
+    """Median clearing map evaluations per solve over `SAMPLED_ROUNDS` rounds at n0
+    agents, eps0 risk-free."""
     rng = np.random.default_rng(0)
     n1 = round(eps0 * n0)
 
@@ -72,7 +73,7 @@ def sampled_sweeps(market, n0: int, eps0: float) -> float:
 
 def sampled_round_cost(n0: int) -> tuple[float, int, float, float]:
     """`round_cost` in milliseconds on the sampled graph, this process's peak RSS
-    in MB over it, and then the median sweeps per solve (`sampled_sweeps`)."""
+    in MB over it, and then the median map evaluations per solve (`sampled_sweeps`)."""
     config = table4_spec().rows[0].config
     config = replace(config, market=replace(config.market, p_ss=SAMPLED_P))
     cost, n_end = round_cost(config, n0, SAMPLED_ROUNDS, SAMPLED_WARMUP_ROUNDS)
@@ -87,7 +88,7 @@ def main() -> int:
         cost, n_end = round_cost(config, n0)
         print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}")
     print(f"\nsampled graph, p_ss = {SAMPLED_P}\n"
-          f"{'n0':>9}  {'n at end':>9}  {'ms/round':>9}  {'sweeps':>9}  {'peak MB':>9}")
+          f"{'n0':>9}  {'n at end':>9}  {'ms/round':>9}  {'map evals':>9}  {'peak MB':>9}")
     # one fresh process per size, so that each peak is the row's own
     ctx = multiprocessing.get_context("spawn")
     for n0 in SAMPLED_SIZES:

@@ -15,20 +15,27 @@ class sizes and certifies each class's own residual, not just T's; the
 count-level Monte-Carlo round calls it directly, and `solve_clearing` spreads
 its answer over the agents.
 
-Sampled graphs sweep the map from full payment, X_0 = y, until no payment
-moves by more than 1e-10 * y.  From above, each sweep keeps the invariant
-X_k >= T(X_k) >= X* for every fixed point X* <= y, so the sweeps fall
-monotonely onto the greatest one.  After every two sweeps a certified jump
-(`_certified_jump`) moves X further down along the last step, by a lower
-bound on the distance still to fall: on the rows where the map stays linear
-each later step is at least r times the one before, r the least ratio of the
-last two steps, so X - X* >= r / (1 - r) times the last step there, and the
-jump keeps the invariant.  Rows with k < v may still clip at 0, so a jump
-waits until those rows stop moving.  As only risky agents owe, each sweep
-sums the payments over the peer edges alone (one `np.bincount` over the edge
-list), and risk-free claims are summed once over the risk-free edges from the
-final payments.  A borrower defaults when it pays less than y * (1 - 1e-9)
-(`defaulted`); surpluses come from `surpluses`.
+Sampled graphs iterate T(X) = clip(b + N X, 0, y), b = k - v, N = sig2 * A >= 0.
+Where every b > 0, T has one fixed point X* (Eisenberg & Noe 2001): for fixed
+points X1 >= X2, u = X1 - X2 satisfies u <= N_SS u on S = {X1 > X2} and vanishes
+off it, while X2 >= b > 0 pays part of y on S, so N_SS X2 <= X2 - b < X2 there;
+by Collatz-Wielandt rho(N_SS) < 1, and u = 0.  With eps = 1e-10, a residual
+|T(X) - X| <= eps * min(b, y) / (1 + eps) in every row makes (1 - eps) X a
+subsolution of the monotone T and U = min((1 + eps) X, y) a supersolution, so
+(1 - eps) X <= X* <= U <= (1 + eps) / (1 - eps) * X*: the solve returns U.  That
+tolerance, less twice a bound on the float residual's rounding, must keep half
+its size in every row (eps * b well above y's float spacing), or the round is
+solved like one with some b <= 0.  Until the stop, each sweep also takes the
+Sherman-Morrison step of N's rank-one mean part nu 11^T, nu = sig2 * links /
+(n2 (n2 - 1)), on the partial payers D: X <- T(X) + nu * sum_D r / (1 - nu |D|)
+there, r = T(X) - X, until one such step fails to shrink max |r|; plain sweeps
+reach a unique fixed point from any start.  Every other round sweeps from
+X_0 = y until no payment moves by more than 1e-10 * y; each sweep keeps
+X_k >= T(X_k) >= X* for every fixed point X* <= y, so they fall monotonely onto
+the greatest one.  Each sweep sums the payments over the peer edges alone (one
+`np.bincount`), and risk-free claims are summed once from the final payments.
+A borrower defaults when it pays less than y * (1 - 1e-9) (`defaulted`);
+surpluses come from `surpluses`.
 """
 from __future__ import annotations
 
@@ -43,16 +50,15 @@ from .netgen import Edges, LiabilityGraph, ShockVector
 
 _SLACK = 1e-12         # residual tolerance relative to y per unit weight; also the slope-1 cutoff
 _ROUNDING = 4 * sys.float_info.epsilon  # a level this small, relative to its terms, is zero
-_SPARSE_TOL = 1e-10    # sparse sweeps stop once no payment moves more, relative to y
-_SPARSE_CAP = 100_000  # sparse sweeps allowed before giving up
+_SPARSE_TOL = 1e-10    # sparse stop: the enclosure's eps, or the last step relative to y
+_SPARSE_CAP = 100_000  # sparse map evaluations allowed before giving up
 _DEFAULT_TOL = 1e-9    # a borrower paying short of y by more than this share defaults
 
 
 @dataclass(frozen=True)
 class ClearingResult:
     X: np.ndarray        # (n2,) payments, each in [0, y]
-    iterations: int      # map evaluations (sweeps; jumps are free) on a sampled graph;
-                         # 1 on the complete graph (one exact solve)
+    iterations: int      # map evaluations (peer sums) on a sampled graph, else 1
     claims: np.ndarray   # (n,) received amounts per agent
 
 
@@ -153,71 +159,60 @@ def class_clearing(y: float, w_g1: float, w_g2: float, n_u: int, n_d: int,
     return ClassClearing(x_u, x_d, w_g1 / y * total, sig2 * (total - x_u), sig2 * (total - x_d))
 
 
-def _sweep_from_above(peers: Edges, k: np.ndarray, v: float, sig2: float,
+def _sampled_clearing(peers: Edges, k: np.ndarray, v: float, sig2: float,
                       y: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Greatest fixed point of X = clip(k + sig2 * A X - v, 0, y) on a sampled graph.
 
-    A is the peer edge list's (creditor, borrower) indicator and sig2 the share
-    of a payment that each linked peer receives.  Sweeps run from X = y with a
-    certified jump after every two (`_certified_jump`); returns the payments,
-    what each borrower receives from its peers at them, and the number of map
-    evaluations.
+    A is the peer edge list's (creditor, borrower) indicator and sig2 the share of
+    a payment that each linked peer receives (the module docstring has both solves).
+    Returns the payments, their peer claims per borrower, and the map evaluations.
     """
     n2 = len(k)
     # the edges are sorted by borrower, so repeating each payment by its borrower's
     # out-degree lays it along the edges, more cheaply than the gather X[peers.borrower]
     out_degree = np.bincount(peers.borrower, minlength=n2)
-    never_zero = k >= v  # rows whose pre-clip value stays >= 0 for every X >= 0
-    X, new, pre, g, h = (np.full(n2, y), *(np.empty(n2) for _ in range(4)))
-    linear, below_y = np.empty(n2, dtype=bool), np.empty(n2, dtype=bool)
+
+    def owed(X: np.ndarray) -> np.ndarray:
+        return sig2 * np.bincount(peers.creditor, weights=np.repeat(X, out_degree), minlength=n2)
+
+    X, new, pre, r, h = (np.full(n2, y), *(np.empty(n2) for _ in range(4)))
+    owed_in = owed(X)  # at X = y: it bounds every later peer sum
+    b = k - v
+    # with d peer debtors a row's float residual errs by at most (d + 3) u (b + owed_in), d + 1
+    # roundings in b + N X and two in the residual: leave twice that, and ask as much again
+    debtors = owed_in / (sig2 * y) if sig2 > 0.0 else 0.0
+    slack = (debtors + 3.0) * (sys.float_info.epsilon / 2) * (b + owed_in)
+    room = np.minimum(b, y) * (_SPARSE_TOL / (1.0 + _SPARSE_TOL)) - 2.0 * slack
+    certified = bool((b > 0.0).all() and (room >= 2.0 * slack).all())
+    tol = room if certified else _SPARSE_TOL * y
+    nu = sig2 * len(peers.borrower) / max(n2 * (n2 - 1), 1)  # the peer map's mean entry
+    flags = np.empty(n2, dtype=bool)
+    correct, last = certified, np.inf
     for iterations in range(1, _SPARSE_CAP + 1):
-        owed_in = sig2 * np.bincount(peers.creditor, weights=np.repeat(X, out_degree),
-                                     minlength=n2)
-        np.add(k, owed_in, out=pre)
-        pre -= v
+        np.add(b if certified else k, owed_in, out=pre)  # b first keeps a small b's digits
+        if not certified:
+            pre -= v  # the plain sweeps' order, (k + claims) - v
         np.clip(pre, 0.0, y, out=new)
-        np.subtract(X, new, out=h)
-        if np.abs(h).max() <= _SPARSE_TOL * y:
+        np.subtract(new, X, out=r)
+        np.abs(r, out=h)
+        if np.less_equal(h, tol, out=flags).all():
             break  # keep X: its residual is the one just measured
+        if correct:  # go on while corrected steps shrink the residual and 1 - nu |D| > 0
+            step = float(h.max())
+            np.less(pre, y, out=flags)  # the partial payers D, where the map is linear
+            scale = 1.0 - nu * np.count_nonzero(flags)
+            correct, last = step < last and scale > 0.0, step
         X, new = new, X
-        np.less_equal(pre, y, out=below_y)
-        if iterations % 2:  # the first sweep of a pair: keep its step
-            g, h = h, g
-            np.logical_and(never_zero, below_y, out=linear)
-        else:
-            linear &= below_y
-            _certified_jump(X, g, h, linear, new)  # new holds the spent X
+        if correct:
+            np.add(X, nu / scale * r.sum(where=flags), out=X, where=flags)
+            np.clip(X, 0.0, y, out=X)  # the enclosure needs 0 <= X <= y
+        owed_in = owed(X)
     else:
-        raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} sweeps")
+        raise SolverError(f"sparse clearing: no fixed point within {_SPARSE_CAP} map evaluations")
+    if certified:  # the enclosure's top, and its claims
+        np.minimum(X * (1.0 + _SPARSE_TOL), y, out=X)
+        return X, owed(X), iterations + 1
     return X, owed_in, iterations
-
-
-def _certified_jump(X: np.ndarray, g: np.ndarray, h: np.ndarray, linear: np.ndarray,
-                    scratch: np.ndarray) -> None:
-    """Move X = X_{k+2} down toward the greatest fixed point, never past it.
-
-    g = X_k - X_{k+1} and h = X_{k+1} - X_{k+2} are two consecutive sweep
-    steps from above, and on the rows R of `linear` (k >= v, pre-clip value
-    <= y in both sweeps) the map stays linear, X -> b + N X with N >= 0, for
-    every X below X_{k+1}.  If g vanishes off R, then N g = h on R; with r the
-    least ratio h_i / g_i over the rows of R where g > 0, h >= r g gives
-    N^m h >= r^m h (Collatz-Wielandt), so X_{k+2} - X* >= r / (1 - r) * h on R
-    for every fixed point X* <= y.  Subtracting that keeps X above X* and its
-    sweeps monotone.  `scratch` is overwritten: with no float temporaries the
-    sampled rounds' peak memory stays at the plain sweeps' level.
-    """
-    if np.any(g, where=~linear):
-        return
-    moving = linear & (g > 0.0)
-    np.divide(h, g, out=scratch, where=moving)
-    r = float(scratch.min(where=moving, initial=np.inf))
-    if not 0.0 < r < 1.0:
-        return
-    np.multiply(g, r, out=scratch)
-    if np.any(h < scratch, where=linear):
-        return
-    np.multiply(h, r / (1.0 - r), out=scratch)
-    np.subtract(X, scratch, out=X, where=linear)
 
 
 def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
@@ -237,7 +232,7 @@ def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
         owed_in = np.where(shocks.up, cc.claims_u, cc.claims_d)
         iterations = 1
     else:
-        X, owed_in, iterations = _sweep_from_above(graph.peers, shocks.k, v, graph.w_g2 / y, y)
+        X, owed_in, iterations = _sampled_clearing(graph.peers, shocks.k, v, graph.w_g2 / y, y)
         safe = graph.safe
         safe_in = graph.w_g1 / y * np.bincount(safe.creditor, weights=X[safe.borrower],
                                                minlength=n1)

@@ -85,6 +85,11 @@ class DerivedQuantities(NamedTuple):
     a2: float       # all-default boundary for c_eps
 
 
+def borrower_debt(params: MarketParams, eps: float) -> float:
+    """`derive`'s y alone: what a risky agent owes in total, interest included."""
+    return params.w * (params.alpha + eps) * (1 + params.r_b) / (1 - params.alpha)
+
+
 def derive(params: MarketParams, eps: float) -> DerivedQuantities:
     """Compute all derived per-fraction quantities.
 
@@ -93,7 +98,7 @@ def derive(params: MarketParams, eps: float) -> DerivedQuantities:
     if not 0.0 <= eps <= 1.0:
         raise ParamError(f"eps: fraction {eps!r} outside [0, 1]")
     w, v, alpha, delta = params.w, params.v, params.alpha, params.delta
-    y = w * (alpha + eps) * (1 + params.r_b) / (1 - alpha)
+    y = borrower_debt(params, eps)
     c_eps = alpha * (1 + eps) / (alpha + eps)
     k_u = w * (1 + eps) * (1 + params.u)
     k_d = w * (1 + eps) * (1 + params.d)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MarketParams, ParamError, derive
+from .model import MarketParams, ParamError, borrower_debt, derive
 
 
 class Edges(NamedTuple):
@@ -149,7 +149,7 @@ def sample_network(params: MarketParams, n1: int, n2: int,
     if n1 < 0 or n2 < 0 or n1 + n2 < 2:
         raise ParamError("n1/n2: need at least two agents, neither group negative")
     eps = n1 / (n1 + n2)
-    y = derive(params, eps).y
+    y = borrower_debt(params, eps)
     w_g1, w_g2 = edge_weights(params, n1, n2)
     if params.p_ss == 1.0 or n2 == 0:
         return LiabilityGraph(n1=n1, n2=n2, y=y, eps=eps, w_g1=w_g1, w_g2=w_g2)

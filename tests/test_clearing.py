@@ -185,6 +185,16 @@ def test_clearing_monotone_in_shocks(zero_v_market, ks, data):
     assert np.all(more.X >= base.X - 1e-9)
 
 
+def test_single_borrower_on_a_sampled_graph(zero_v_market):
+    # a lone borrower has no peer, so it pays min(k - v, y) on its own
+    market = replace(zero_v_market, p_ss=0.3)
+    rng = np.random.default_rng(0)
+    g = sample_network(market, 9, 1, rng)
+    s = sample_shocks(market, 1, g.eps, rng)
+    res = solve_clearing(g, s, market)
+    assert_allclose(res.X, np.minimum(s.k - market.v, g.y), rtol=2e-10)
+
+
 def test_finite_network_tracks_limit():
     market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
                           u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
@@ -413,10 +423,10 @@ def test_greatest_of_many_fixed_points():
 
 
 def _plain_sweeps(g, s, params):
-    """Sampled-graph clearing by plain sweeps from full payment, with no jump.
+    """Sampled-graph clearing by plain sweeps from full payment.
 
-    The same arithmetic, in the same order, as the solver's sweeps, so a solve
-    in which no jump fires matches it bit for bit: (payments, sweeps).
+    The same arithmetic, in the same order, as the solver's sweeps on a round
+    with some k <= v, so such a solve matches it bit for bit: (payments, sweeps).
     """
     y, peers = g.y, g.peers
     X = np.full(g.n2, y)
@@ -503,4 +513,98 @@ def test_jump_waits_for_rows_that_may_clip_at_zero():
     s = ShockVector(k=np.where(up, 16.0, 11.0), up=up, k_u=16.0, k_d=11.0)
     res = solve_clearing(g, s, market)
     assert np.all(res.X >= np.where(up, 20 / 11, 0.0) - 1e-12 * g.y)
+    assert _residual(g, s, market, res.X) <= 2e-10
+
+
+def _dense_meet(g, s, params):
+    """Dense sweeps from X = 0 and from X = y, run until they meet: (lo, hi).
+
+    From below the sweeps rise onto the least fixed point and from above they
+    fall onto the greatest, so their meeting, to 1e-12 of lo, shows the fixed
+    point unique and brackets it.  Rebuilds the peer matrix from the edge lists
+    and shares no code with the solver.
+    """
+    A, b, y = _peer_shares(g), s.k - params.v, g.y
+    lo, hi = np.zeros(g.n2), np.full(g.n2, y)
+    for _ in range(100_000):
+        if np.all(hi - lo <= 1e-12 * lo):
+            return lo, hi
+        lo, hi = np.clip(b + A @ lo, 0.0, y), np.clip(b + A @ hi, 0.0, y)
+    raise AssertionError("the sweeps from 0 and from y never meet")
+
+
+def _leaves_room(g, s, params):
+    """Whether floats can meet the enclosure's stop rule on this round.
+
+    The solver's own test, restated from its documented bound: every k > v, and
+    1e-10 * min(k - v, y) is at least four times (d + 3) u (k - v + sig2 y d),
+    the rounding bound of a float residual in a row with d peer debtors.
+    """
+    b, d = s.k - params.v, np.bincount(g.peers.creditor, minlength=g.n2)
+    slack = (d + 3) * (sys.float_info.epsilon / 2) * (b + g.w_g2 * d)
+    return bool(np.all(b > 0.0) and np.all(1e-10 * np.minimum(b, g.y) >= 4 * slack))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 300), p_ss=st.floats(0.1, 0.9), eps=st.floats(0.05, 0.9),
+       share=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_sampled_clearing_encloses_the_unique_fixed_point(n, p_ss, eps, share, seed):
+    # v = share * k_d leaves every borrower k - v > 0, so the fixed point X* is
+    # unique.  Where floats leave room for the stop rule the solve must return a
+    # point of [X*, (1 + 2e-10) X*]; elsewhere (share near 1) it runs the plain
+    # sweeps, which stay above X* and stop on a small step
+    k_d = derive(SYSTEMIC, round(eps * n) / n).k_d
+    market = replace(SYSTEMIC, v=share * k_d, p_ss=p_ss)
+    g, s = _sampled_round(market, n, eps, seed)
+    assume(g.n2 >= 2)
+    lo, hi = _dense_meet(g, s, market)
+    X = solve_clearing(g, s, market).X
+    assert np.all(X >= lo)
+    if _leaves_room(g, s, market):
+        assert np.all(X <= (1 + 2e-10) * hi)
+    else:
+        assert _residual(g, s, market, X) <= 2e-10
+
+
+@pytest.mark.parametrize("n_up, k_d", [(0, 15.0 + 1e-12), (2, 15.0 + 1e-12), (0, 15.5)])
+def test_tiny_net_proceeds_fall_back_to_plain_sweeps(n_up, k_d):
+    # five borrowers on complete peer edge lists at c = 0.9, so the sweeps contract
+    # by 0.9 in the max norm.  Down-shocked ones with k - v = 1e-12 next to y = 10
+    # leave the enclosure's tolerance below the rounding of a map evaluation: the
+    # solve runs the plain sweeps, bit for bit, and stops within 1e-10 y / (1 - 0.9)
+    # above the fixed point.  With k - v = 0.5 in every row it certifies instead
+    market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
+                          u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
+    peers, safe = _full_edges(0, 5)
+    g = LiabilityGraph(n1=0, n2=5, y=10.0, eps=0.0, w_g1=0.0, w_g2=0.9 / 4 * 10.0,
+                       peers=peers, safe=safe)
+    up = np.arange(5) < n_up
+    s = ShockVector(k=np.where(up, 16.0, k_d), up=up, k_u=16.0, k_d=k_d)
+    # every row pays part of y, so the fixed point solves (I - N) X = k - v
+    exact = np.linalg.solve(np.eye(5) - _peer_shares(g), s.k - market.v)
+    assert np.all(exact < g.y)
+    res = solve_clearing(g, s, market)
+    assert _leaves_room(g, s, market) == (k_d == 15.5)
+    if k_d == 15.5:
+        assert np.all(res.X >= exact * (1 - 1e-12))
+        assert np.all(res.X <= exact * (1 + 2e-10) * (1 + 1e-12))
+    else:
+        X, sweeps = _plain_sweeps(g, s, market)
+        assert res.iterations == sweeps and np.array_equal(res.X, X)
+        assert np.all(res.X >= exact - 1e-12 * g.y)
+        assert np.all(res.X <= exact + 1e-10 * g.y / (1 - 0.9))
+
+
+def test_sampled_market_near_k_equal_v_returns():
+    # the benchmark's sampled market with v just under k_d: k_d - v = 3.9e-4 next
+    # to y = 2098 is too small for the enclosure's stop rule in floats, so the
+    # solve runs the plain sweeps, bit for bit, and returns
+    market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
+                          u=0.13, d=-0.6, r_s=0.1, r_b=0.11, p_ss=0.1)
+    market = replace(market, v=derive(market, 0.4).k_d * (1 - 1e-5))
+    g, s = _sampled_round(market, 2000, 0.4, 0)
+    assert not _leaves_room(g, s, market)
+    res = solve_clearing(g, s, market)
+    X, sweeps = _plain_sweeps(g, s, market)
+    assert res.iterations == sweeps and np.array_equal(res.X, X)
     assert _residual(g, s, market, res.X) <= 2e-10

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,10 @@ def test_round_cost_plays_rounds():
     round_cost = _load(SCRIPTS / "round_cost.py")
     cost, n_end = round_cost.round_cost(table4_spec(1).rows[0].config, 50, rounds=3, warmup=1)
     assert cost > 0.0 and n_end >= 2
+
+
+def test_round_cost_clears_sampled_rounds():
+    round_cost = _load(SCRIPTS / "round_cost.py")
+    config = table4_spec(1).rows[0].config
+    market = replace(config.market, p_ss=round_cost.SAMPLED_P)
+    assert round_cost.sampled_sweeps(market, 200, config.dynamics.eps0) >= 1
