@@ -12,14 +12,15 @@ payment T, so each class pays a closed form of T, and T is the greatest fixed
 point of one scalar piecewise-linear map (`class_fixed_point`, shared with the
 large-network limit in `analytic`).  `class_clearing` sets it up from the
 class sizes and certifies each class's own residual, not just T's; the
-count-level Monte-Carlo round calls it directly, and `solve_clearing` spreads
-its answer over the agents.
+count-level Monte-Carlo round calls it, and nothing clears that graph agent
+by agent.
 
-Sampled graphs iterate T(X) = clip(b + N X, 0, y), b = k - v, N = sig2 * A >= 0.
-Where every b > 0, T has one fixed point X* (Eisenberg & Noe 2001): for fixed
-points X1 >= X2, u = X1 - X2 satisfies u <= N_SS u on S = {X1 > X2} and vanishes
-off it, while X2 >= b > 0 pays part of y on S, so N_SS X2 <= X2 - b < X2 there;
-by Collatz-Wielandt rho(N_SS) < 1, and u = 0.  With eps = 1e-10, a residual
+`solve_clearing` clears a sampled graph, agent by agent: it iterates
+T(X) = clip(b + N X, 0, y), b = k - v, N = sig2 * A >= 0.  Where every b > 0,
+T has one fixed point X* (Eisenberg & Noe 2001): for fixed points X1 >= X2,
+u = X1 - X2 satisfies u <= N_SS u on S = {X1 > X2} and vanishes off it, while
+X2 >= b > 0 pays part of y on S, so N_SS X2 <= X2 - b < X2 there; by
+Collatz-Wielandt rho(N_SS) < 1, and u = 0.  With eps = 1e-10, a residual
 |T(X) - X| <= eps * min(b, y) / (1 + eps) in every row makes (1 - eps) X a
 subsolution of the monotone T and U = min((1 + eps) X, y) a supersolution, so
 (1 - eps) X <= X* <= U <= (1 + eps) / (1 - eps) * X*: the solve returns U.  That
@@ -58,7 +59,7 @@ _DEFAULT_TOL = 1e-9    # a borrower paying short of y by more than this share de
 @dataclass(frozen=True)
 class ClearingResult:
     X: np.ndarray        # (n2,) payments, each in [0, y]
-    iterations: int      # map evaluations (peer sums) on a sampled graph, else 1
+    iterations: int      # map evaluations (peer sums); 0 when nobody borrows
     claims: np.ndarray   # (n,) received amounts per agent
 
 
@@ -217,25 +218,13 @@ def _sampled_clearing(peers: Edges, k: np.ndarray, v: float, sig2: float,
 
 def solve_clearing(graph: LiabilityGraph, shocks: ShockVector,
                    params: MarketParams) -> ClearingResult:
-    """Greatest clearing vector: exact on the complete graph, iterated on sampled ones."""
-    n1, n2, n, y = graph.n1, graph.n2, graph.n, graph.y
+    """Greatest clearing vector of a sampled graph, and each agent's claims."""
+    n1, n2, y = graph.n1, graph.n2, graph.y
     if n2 == 0 or y <= 0.0:
-        return ClearingResult(X=np.zeros(n2), iterations=0, claims=np.zeros(n))
-    v = params.v
-
-    if graph.peers is None:
-        n_u = int(shocks.up.sum())
-        cc = class_clearing(y, graph.w_g1, graph.w_g2, n_u, n2 - n_u,
-                            shocks.k_u - v, shocks.k_d - v)
-        X = np.where(shocks.up, cc.x_u, cc.x_d)
-        safe_in = np.full(n1, cc.claims_safe)
-        owed_in = np.where(shocks.up, cc.claims_u, cc.claims_d)
-        iterations = 1
-    else:
-        X, owed_in, iterations = _sampled_clearing(graph.peers, shocks.k, v, graph.w_g2 / y, y)
-        safe = graph.safe
-        safe_in = graph.w_g1 / y * np.bincount(safe.creditor, weights=X[safe.borrower],
-                                               minlength=n1)
+        return ClearingResult(X=np.zeros(n2), iterations=0, claims=np.zeros(graph.n))
+    X, owed_in, iterations = _sampled_clearing(graph.peers, shocks.k, params.v, graph.w_g2 / y, y)
+    safe = graph.safe
+    safe_in = graph.w_g1 / y * np.bincount(safe.creditor, weights=X[safe.borrower], minlength=n1)
     return ClearingResult(X=X, iterations=iterations, claims=np.concatenate([safe_in, owed_in]))
 
 

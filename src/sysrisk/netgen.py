@@ -9,12 +9,13 @@ for risk-free creditors, one for risky peers -- scaled so that a borrower's
 total liability concentrates on y (principal plus borrowing interest) as n
 grows.
 
-The complete graph (p_ss = 1) is described by its weights alone.  A sampled
-graph keeps its links as two edge lists, borrower to risky peer and borrower
-to risk-free creditor.  Each is drawn by geometric skipping (Batagelj &
-Brandes, Phys. Rev. E 71, 036113, 2005): read row by row, the gaps between
-the linked cells of a block are i.i.d. Geometric(p_ss), so a draw costs time
-in proportion to the links, not to the n2 x n pairs.
+The complete graph (p_ss = 1) is never drawn: the engine clears it by shock
+class from its weights (`edge_weights`) alone.  A sampled graph keeps its
+links as two edge lists, borrower to risky peer and borrower to risk-free
+creditor.  Each is drawn by geometric skipping (Batagelj & Brandes, Phys.
+Rev. E 71, 036113, 2005): read row by row, the gaps between the linked cells
+of a block are i.i.d. Geometric(p_ss), so a draw costs time in proportion to
+the links, not to the n2 x n pairs.
 """
 from __future__ import annotations
 
@@ -40,13 +41,12 @@ class Edges(NamedTuple):
 
 @dataclass(frozen=True)
 class LiabilityGraph:
-    """Round network: the edge weights, and the links of a sampled graph.
+    """A sampled round network: its edge weights and its links.
 
     Edge weights depend only on the creditor's group: `w_g1` toward
-    risk-free creditors, `w_g2` toward risky peers.  On the complete graph
-    both edge lists are None; on a sampled one `peers` holds the
+    risk-free creditors, `w_g2` toward risky peers.  `peers` holds the
     borrower-to-risky-peer links (never a self-link) and `safe` the
-    borrower-to-risk-free links.
+    borrower-to-risk-free links; both are empty when n2 = 0.
     """
 
     n1: int
@@ -55,22 +55,20 @@ class LiabilityGraph:
     eps: float
     w_g1: float
     w_g2: float
-    peers: Edges | None = None
-    safe: Edges | None = None
+    peers: Edges
+    safe: Edges
 
     @property
     def n(self) -> int:
         return self.n1 + self.n2
 
     @property
-    def indicator(self) -> np.ndarray | None:
-        """Dense (n2, n) view of a sampled graph's links, None on the complete graph.
+    def indicator(self) -> np.ndarray:
+        """Dense (n2, n) view of the links.
 
         Entry [j, i] says whether borrower j (local) owes agent i (global).
         Built afresh on every access; the engine never reads it.
         """
-        if self.peers is None:
-            return None
         out = np.zeros((self.n2, self.n), dtype=bool)
         out[self.safe.borrower, self.safe.creditor] = True
         out[self.peers.borrower, self.n1 + self.peers.creditor] = True
@@ -79,12 +77,9 @@ class LiabilityGraph:
 
 @dataclass(frozen=True)
 class ShockVector:
-    """Per-borrower proceeds: k_u with probability delta, else k_d."""
+    """Per-borrower proceeds: `derive`'s k_u with probability delta, else its k_d."""
 
     k: np.ndarray
-    up: np.ndarray
-    k_u: float
-    k_d: float
 
 
 def _chunk_size(size: int, p: float) -> int:
@@ -145,15 +140,14 @@ def edge_weights(params: MarketParams, n1: int, n2: int) -> tuple[float, float]:
 
 def sample_network(params: MarketParams, n1: int, n2: int,
                    rng_stream: np.random.Generator) -> LiabilityGraph:
-    """Draw one round's liability network, independently of every other round."""
+    """Draw one round's sampled network (p_ss < 1), independently of every other round."""
     if n1 < 0 or n2 < 0 or n1 + n2 < 2:
         raise ParamError("n1/n2: need at least two agents, neither group negative")
+    if params.p_ss == 1.0:
+        raise ParamError("p_ss: the complete graph is cleared by class, never sampled")
     eps = n1 / (n1 + n2)
     y = borrower_debt(params, eps)
     w_g1, w_g2 = edge_weights(params, n1, n2)
-    if params.p_ss == 1.0 or n2 == 0:
-        return LiabilityGraph(n1=n1, n2=n2, y=y, eps=eps, w_g1=w_g1, w_g2=w_g2)
-
     # peer column c of borrower j is peer c + (c >= j): the diagonal is never drawn
     borrower, col = _linked_cells(rng_stream, n2, n2 - 1, params.p_ss)
     col += col >= borrower
@@ -170,5 +164,4 @@ def sample_shocks(params: MarketParams, n2: int, eps: float,
         raise ParamError("n2: negative group size")
     der = derive(params, eps)
     up = rng_stream.random(n2) < params.delta
-    k = np.where(up, der.k_u, der.k_d)
-    return ShockVector(k=k, up=up, k_u=der.k_u, k_d=der.k_d)
+    return ShockVector(k=np.where(up, der.k_u, der.k_d))

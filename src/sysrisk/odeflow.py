@@ -360,6 +360,8 @@ def _clock_sums(terms: list[float], ends: range) -> list[float]:
 
 def round_clock(n0: int, rounds: int) -> float:
     """Flow time after `rounds` rounds of a run that started from n0 agents."""
+    if not (isinstance(rounds, numbers.Integral) and rounds >= 0):
+        raise ParamError(f"rounds: round count must be a non-negative integer, got {rounds!r}")
     return math.fsum(_clock_terms(n0, rounds))
 
 
@@ -389,6 +391,8 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ParamError(f"step: must be finite and positive, got {step!r}")
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ParamError(f"horizon: flow time must be finite and non-negative, got {horizon!r}")
     _check_start(eps0, psi0)
     beta, k1 = drift_rates(params, dyn)
     table = _flow_table(params, dyn, dyn.mean_L)

@@ -15,9 +15,9 @@ draws it from a few scalar draws whatever the population size: the up class
 by a binomial, the attempters by class by a multivariate hypergeometric, and
 switches and arrivals by binomials, each thinned by the chance that a
 uniform contact is a mixed pair seen one way.  On sampled graphs
-(``p_ss < 1``) agents differ by their links, and `_agent_round` plays the
-round agent by agent; tests also run it on the complete graph as the oracle
-of `_count_round`.
+(``p_ss < 1``) agents differ by their links, and `_agent_round` clears the
+drawn network and hands the returns to `_agent_flows`, which the tests also
+feed complete-graph returns cleared agent by agent, as `_count_round`'s oracle.
 
 Switching and arrivals share one imitation rule (`_imitate`, and its
 class-level form `_seen_safe`): a risk-free and a risky agent's returns are
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import class_clearing, compute_returns, defaulted, solve_clearing, surpluses
+from .clearing import (ReturnsVector, class_clearing, compute_returns, defaulted, solve_clearing,
+                       surpluses)
 from .model import DynamicsParams, MarketParams, ParamError, count_bound, derive
 from .netgen import edge_weights, sample_network, sample_shocks
 from .records import RoundRecord, Trajectory
@@ -229,14 +230,21 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
 def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
                  rng_stream: np.random.Generator) -> tuple[PopulationState, RoundRecord]:
     """One round agent by agent, on a freshly sampled network."""
+    counts = _draw_counts(rng_stream, dyn)
+    graph = sample_network(params, state.n1, state.n2, rng_stream)
+    shocks = sample_shocks(params, state.n2, graph.eps, rng_stream)
+    res = solve_clearing(graph, shocks, params)
+    return _agent_flows(state, dyn, counts, compute_returns(graph, res, shocks, params),
+                        rng_stream)
+
+
+def _agent_flows(state: PopulationState, dyn: DynamicsParams, counts: tuple[int, int, int],
+                 returns: ReturnsVector, rng_stream: np.random.Generator
+                 ) -> tuple[PopulationState, RoundRecord]:
+    """Switching, departures and arrivals agent by agent, from the (N, S, L) counts and returns."""
     n1, n2 = state.n1, state.n2
     n = n1 + n2
-    N_k, S_k, L_k = _draw_counts(rng_stream, dyn)
-
-    graph = sample_network(params, n1, n2, rng_stream)
-    shocks = sample_shocks(params, n2, graph.eps, rng_stream)
-    res = solve_clearing(graph, shocks, params)
-    returns = compute_returns(graph, res, shocks, params)
+    N_k, S_k, L_k = counts
 
     # -- switching: S_eff agents compare against one uniform other agent and
     # move when the other side is seen ahead.
@@ -261,9 +269,9 @@ def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
         candidates = returns.defaults[stayed[returns.defaults]]
         D = _clip_departures(state, min(L_k, int(candidates.size)), n + N_k - 2)
         if D > 0:
-            # An unused draw of who leaves; only the count D matters.  It keeps the stream
-            # of this round on the complete graph, where the one-round law test of
-            # `_count_round` runs it at fixed seeds: without it every later draw moves.
+            # An unused draw of who leaves; only the count D matters.  It keeps the
+            # stream of every seeded sampled run and of the one-round law test of
+            # `_count_round`, which plays these flows at fixed seeds.
             rng_stream.choice(candidates, size=D, replace=False)
 
     # -- arrivals: each entrant asks two distinct incumbents from this round;

@@ -15,7 +15,7 @@ import numpy as np
 
 from sysrisk import DynamicsParams, ExperimentConfig, MarketParams
 from sysrisk.analytic import clearing_limit, limit_returns, thresholds
-from sysrisk.clearing import default_stats, solve_clearing
+from sysrisk.clearing import class_clearing, defaulted
 from sysrisk.ess import check_avg_ess, check_mixed_ess, check_multi_mutation
 from sysrisk.harness import (
     contrast_configs,
@@ -27,7 +27,8 @@ from sysrisk.harness import (
     table4_spec,
     write_trajectories,
 )
-from sysrisk.netgen import sample_network, sample_shocks
+from sysrisk.model import derive
+from sysrisk.netgen import edge_weights, sample_shocks
 from sysrisk.odeflow import (
     classify_attractors,
     finite_round_estimate,
@@ -178,20 +179,26 @@ def test_criterion_6_large_network_clearing():
         n1 = int(round(n * eps))
         n2 = n - n1
         limit = clearing_limit(IMIT, eps)
+        der = derive(IMIT, n1 / n)
+        y, (w_g1, w_g2) = der.y, edge_weights(IMIT, n1, n2)
         claims_devs = []
         fracs = []
         for seed in range(30):
             rng = np.random.default_rng(1000 + seed)
-            g = sample_network(IMIT, n1, n2, rng)
-            s = sample_shocks(IMIT, n2, g.eps, rng)
-            res = solve_clearing(g, s, IMIT)
+            k = sample_shocks(IMIT, n2, n1 / n, rng).k
+            # the class clearing, spread over the agents
+            up = k == der.k_u
+            n_u = int(up.sum())
+            cc = class_clearing(y, w_g1, w_g2, n_u, n2 - n_u, der.w_high, der.w_low)
+            X = np.where(up, cc.x_u, cc.x_d)
             # outside certificate: one application of the clearing map moves nothing
-            mapped = np.clip(s.k + g.w_g2 / g.y * (res.X.sum() - res.X) - IMIT.v, 0.0, g.y)
-            assert np.max(np.abs(mapped - res.X)) <= 1e-12 * g.y
+            mapped = np.clip(k + w_g2 / y * (X.sum() - X) - IMIT.v, 0.0, y)
+            assert np.max(np.abs(mapped - X)) <= 1e-12 * y
             # risky-side claims concentrate on c_eps * x_bar
             c = IMIT.alpha * (1 + eps) / (IMIT.alpha + eps)
-            claims_devs.append(float(res.claims[n1:].mean()) / (c * limit.x_bar) - 1)
-            fracs.append(default_stats(res, g.y).fraction)
+            claims = np.where(up, cc.claims_u, cc.claims_d)
+            claims_devs.append(float(claims.mean()) / (c * limit.x_bar) - 1)
+            fracs.append(int(defaulted(X, y).sum()) / n2)
         worst_claims = max(worst_claims, abs(float(np.mean(claims_devs))))
         worst_frac = max(worst_frac, abs(float(np.mean(fracs)) - limit.p_d))
     ok = worst_claims <= 0.05 and worst_frac <= 0.03

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from numpy.testing import assert_allclose
 from sysrisk import MarketParams
 from sysrisk.analytic import clearing_limit
 from sysrisk.clearing import (
+    ClearingResult,
     class_clearing,
     class_fixed_point,
     compute_returns,
     default_stats,
     solve_clearing,
 )
-from sysrisk.model import ParamError, SolverError, derive
+from sysrisk.model import ParamError, SolverError, borrower_debt, derive
 from sysrisk.netgen import (
     Edges,
     LiabilityGraph,
@@ -35,24 +37,18 @@ def zero_v_market():
                         u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
 
 
-def _peer_graph(y=10.0, w_g2=3.0):
-    # three borrowers, no risk-free lenders, complete peer lending
-    return LiabilityGraph(n1=0, n2=3, y=y, eps=0.0, w_g1=0.0, w_g2=w_g2)
+class _Shocks(NamedTuple):
+    """A complete-graph round's proceeds `k`, as in a `ShockVector`, with their classes."""
+
+    k: np.ndarray
+    up: np.ndarray
+    k_u: float
+    k_d: float
 
 
 def _shocks(k):
     k = np.asarray(k, dtype=float)
-    return ShockVector(k=k, up=k == k.max(), k_u=float(k.max()), k_d=float(k.min()))
-
-
-def _peer_shares(g):
-    """Dense (n2, n2) matrix: entry [i, j] is borrower j's payment share to borrower i."""
-    if g.peers is None:
-        A = np.ones((g.n2, g.n2)) - np.eye(g.n2)
-    else:
-        A = np.zeros((g.n2, g.n2))
-        A[g.peers.creditor, g.peers.borrower] = 1.0
-    return A * (g.w_g2 / g.y)
+    return _Shocks(k=k, up=k == k.max(), k_u=float(k.max()), k_d=float(k.min()))
 
 
 def _full_edges(n1, n2):
@@ -62,6 +58,38 @@ def _full_edges(n1, n2):
     peers = Edges(borrower[keep], creditor[keep])
     borrower, creditor = np.divmod(np.arange(n2 * n1), max(n1, 1))
     return peers, Edges(borrower, creditor)
+
+
+def _complete(n1, n2, y, eps, w_g1, w_g2):
+    """The complete graph, as a graph that holds every link."""
+    return LiabilityGraph(n1, n2, y, eps, w_g1, w_g2, *_full_edges(n1, n2))
+
+
+def _market_complete(params, n1, n2):
+    """A market's complete graph on n1 risk-free and n2 risky agents, every link held."""
+    eps = n1 / (n1 + n2)
+    return _complete(n1, n2, borrower_debt(params, eps), eps, *edge_weights(params, n1, n2))
+
+
+def _peer_graph(y=10.0, w_g2=3.0):
+    # three borrowers, no risk-free lenders, complete peer lending
+    return _complete(0, 3, y, 0.0, 0.0, w_g2)
+
+
+def _clear_by_class(g, s, params):
+    """Complete-graph clearing by `class_clearing`, spread over the agents of each class."""
+    n_u = int(s.up.sum())
+    cc = class_clearing(g.y, g.w_g1, g.w_g2, n_u, g.n2 - n_u, s.k_u - params.v, s.k_d - params.v)
+    return ClearingResult(X=np.where(s.up, cc.x_u, cc.x_d), iterations=1,
+                          claims=np.concatenate([np.full(g.n1, cc.claims_safe),
+                                                 np.where(s.up, cc.claims_u, cc.claims_d)]))
+
+
+def _peer_shares(g):
+    """Dense (n2, n2) matrix: entry [i, j] is borrower j's payment share to borrower i."""
+    A = np.zeros((g.n2, g.n2))
+    A[g.peers.creditor, g.peers.borrower] = 1.0
+    return A * (g.w_g2 / g.y)
 
 
 def _residual(g, s, params, X):
@@ -74,7 +102,7 @@ def test_full_payment_when_shocks_cover_debt(zero_v_market):
     g = _peer_graph()
     s = _shocks([12.0, 4.0, 4.0])
     # down-shocked: 4 + 0.3 * (received 20) = 10 exactly, so everyone pays in full
-    res = solve_clearing(g, s, zero_v_market)
+    res = _clear_by_class(g, s, zero_v_market)
     assert _residual(g, s, zero_v_market, res.X) <= 1e-12
     assert_allclose(res.X, [10.0, 10.0, 10.0])
     assert_allclose(res.claims, [6.0, 6.0, 6.0])
@@ -88,7 +116,7 @@ def test_full_payment_when_shocks_cover_debt(zero_v_market):
 def test_partial_payment_fixed_point(zero_v_market):
     g = _peer_graph()
     s = _shocks([12.0, 3.9, 3.9])
-    res = solve_clearing(g, s, zero_v_market)
+    res = _clear_by_class(g, s, zero_v_market)
     # down-shocked pair solves x = 3.9 + 0.3 * (10 + x), i.e. 0.7 x = 6.9
     assert_allclose(res.X, [10.0, 69 / 7, 69 / 7], rtol=1e-9)
     ret = compute_returns(g, res, s, zero_v_market)
@@ -102,23 +130,19 @@ def test_partial_payment_fixed_point(zero_v_market):
 def test_edge_list_path_matches_two_scalar(zero_v_market):
     # edge lists holding every pair but the self pairs, over the same weights, must
     # reproduce the collapsed complete-graph arithmetic
-    n1, n2, y = 2, 4, 10.0
-    peers, safe = _full_edges(n1, n2)
-    dense = LiabilityGraph(n1=n1, n2=n2, y=y, eps=0.25, w_g1=1.5, w_g2=2.0,
-                           peers=peers, safe=safe)
-    collapsed = LiabilityGraph(n1=n1, n2=n2, y=y, eps=0.25, w_g1=1.5, w_g2=2.0)
+    dense = _complete(2, 4, 10.0, 0.25, 1.5, 2.0)
     up = np.array([True, True, False, False])
-    s = ShockVector(k=np.where(up, 9.0, 2.5), up=up, k_u=9.0, k_d=2.5)
+    s = _Shocks(k=np.where(up, 9.0, 2.5), up=up, k_u=9.0, k_d=2.5)
 
     a = solve_clearing(dense, s, zero_v_market)
-    b = solve_clearing(collapsed, s, zero_v_market)
+    b = _clear_by_class(dense, s, zero_v_market)
     # the sampled-graph sweeps stop once no payment moves by more than 1e-10 * y
     assert _residual(dense, s, zero_v_market, a.X) <= 2e-10
-    assert _residual(collapsed, s, zero_v_market, b.X) <= 1e-12
+    assert _residual(dense, s, zero_v_market, b.X) <= 1e-12
     assert_allclose(a.X, b.X, rtol=1e-9)
     assert_allclose(a.claims, b.claims, rtol=1e-9)
     ra = compute_returns(dense, a, s, zero_v_market)
-    rb = compute_returns(collapsed, b, s, zero_v_market)
+    rb = compute_returns(dense, b, s, zero_v_market)
     assert_allclose(ra.r1, rb.r1, rtol=1e-9)
     assert_allclose(ra.r2, rb.r2, rtol=1e-9)
     assert ra.defaults.tolist() == rb.defaults.tolist()
@@ -146,22 +170,24 @@ def test_sampled_graph_clears_its_own_map():
 
 def test_one_sided_shock_classes(zero_v_market):
     g = _peer_graph()
-    all_up = ShockVector(k=np.full(3, 12.0), up=np.ones(3, bool), k_u=12.0, k_d=4.0)
-    res = solve_clearing(g, all_up, zero_v_market)
+    all_up = _Shocks(k=np.full(3, 12.0), up=np.ones(3, bool), k_u=12.0, k_d=4.0)
+    res = _clear_by_class(g, all_up, zero_v_market)
     assert_allclose(res.X, np.full(3, 10.0))
 
-    all_dn = ShockVector(k=np.full(3, 1.0), up=np.zeros(3, bool), k_u=12.0, k_d=1.0)
-    res = solve_clearing(g, all_dn, zero_v_market)
+    all_dn = _Shocks(k=np.full(3, 1.0), up=np.zeros(3, bool), k_u=12.0, k_d=1.0)
+    res = _clear_by_class(g, all_dn, zero_v_market)
     # x = 1 + 0.6 x has the unique solution 2.5, well short of y
     assert_allclose(res.X, np.full(3, 2.5), rtol=1e-7)
     assert default_stats(res, g.y).fraction == 1.0
 
 
 def test_no_borrowers(zero_v_market):
-    g = LiabilityGraph(n1=4, n2=0, y=10.0, eps=1.0, w_g1=2.0, w_g2=0.0)
-    s = ShockVector(k=np.empty(0), up=np.empty(0, bool), k_u=0.0, k_d=0.0)
-    res = solve_clearing(g, s, zero_v_market)
-    assert res.X.size == 0
+    # a sampled graph with n2 = 0 holds empty edge lists, and its clearing is empty
+    market = replace(zero_v_market, p_ss=0.3)
+    rng = np.random.default_rng(0)
+    g = sample_network(market, 4, 0, rng)
+    res = solve_clearing(g, sample_shocks(market, 0, g.eps, rng), market)
+    assert res.X.size == 0 and res.iterations == 0
     assert_allclose(res.claims, np.zeros(4))
     assert default_stats(res, g.y).degenerate
 
@@ -171,17 +197,17 @@ def test_no_borrowers(zero_v_market):
        st.data())
 def test_clearing_monotone_in_shocks(zero_v_market, ks, data):
     k = np.asarray(ks)
-    g = LiabilityGraph(n1=0, n2=len(k), y=10.0, eps=0.0, w_g1=0.0, w_g2=2.0)
+    g = _complete(0, len(k), 10.0, 0.0, 0.0, 2.0)
     up = k >= np.median(k)
-    s = ShockVector(k=k, up=up, k_u=float(k.max()), k_d=float(k.min()))
-    base = solve_clearing(g, s, zero_v_market)
+    s = _Shocks(k=k, up=up, k_u=float(k.max()), k_d=float(k.min()))
+    base = _clear_by_class(g, s, zero_v_market)
 
     j = data.draw(st.integers(0, len(k) - 1))
     bump = data.draw(st.floats(0.1, 10.0))
     k2 = k.copy()
     k2[j] += bump
-    s2 = ShockVector(k=k2, up=up, k_u=float(k2.max()), k_d=float(k2.min()))
-    more = solve_clearing(g, s2, zero_v_market)
+    s2 = _Shocks(k=k2, up=up, k_u=float(k2.max()), k_d=float(k2.min()))
+    more = _clear_by_class(g, s2, zero_v_market)
     assert np.all(more.X >= base.X - 1e-9)
 
 
@@ -200,9 +226,11 @@ def test_finite_network_tracks_limit():
                           u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
     rng = np.random.default_rng(11)
     n, n1 = 500, 175
-    g = sample_network(market, n1, n - n1, rng)
-    s = sample_shocks(market, n - n1, g.eps, rng)
-    res = solve_clearing(g, s, market)
+    g = _market_complete(market, n1, n - n1)
+    der = derive(market, g.eps)
+    k = sample_shocks(market, n - n1, g.eps, rng).k
+    s = _Shocks(k=k, up=k == der.k_u, k_u=der.k_u, k_d=der.k_d)
+    res = _clear_by_class(g, s, market)
     limit = clearing_limit(market, g.eps)
     assert _residual(g, s, market, res.X) <= 1e-12
     assert float(res.X.mean()) == pytest.approx(limit.x_bar, rel=0.01)
@@ -377,14 +405,14 @@ def test_complete_graph_matches_regime_oracle(alpha, delta, v_share, n1, up):
     w, u = 70.0, 0.13
     params = MarketParams(w=w, v=v_share * w * (1 + u), alpha=alpha, delta=delta,
                           u=u, d=-0.6, r_s=0.1, r_b=0.11)
+    g = _market_complete(params, n1, len(up))
     try:
-        g = sample_network(params, n1, len(up), np.random.default_rng(0))
+        der = derive(params, g.eps)
     except ParamError:  # a degenerate all-default boundary
         assume(False)
-    der = derive(params, g.eps)
     mask = np.array(up)
-    s = ShockVector(k=np.where(mask, der.k_u, der.k_d), up=mask, k_u=der.k_u, k_d=der.k_d)
-    res = solve_clearing(g, s, params)
+    s = _Shocks(k=np.where(mask, der.k_u, der.k_d), up=mask, k_u=der.k_u, k_d=der.k_d)
+    res = _clear_by_class(g, s, params)
     assert _residual(g, s, params, res.X) <= 1e-12
     assert_allclose(res.X, _oracle_greatest(g, s, params), rtol=0, atol=1e-9 * g.y)
 
@@ -398,10 +426,10 @@ def test_singular_all_risky_case_solved_exactly():
     # larger candidate, x_u = y, fails because 1 + 0.5 * (10 + 7.99) < 10.
     market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
                           u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
-    g = LiabilityGraph(n1=0, n2=3, y=10.0, eps=0.0, w_g1=0.0, w_g2=5.0)
-    s = ShockVector(k=np.array([16.0, 16.0, 12.99]), up=np.array([True, True, False]),
-                    k_u=16.0, k_d=12.99)
-    res = solve_clearing(g, s, market)
+    g = _peer_graph(w_g2=5.0)
+    s = _Shocks(k=np.array([16.0, 16.0, 12.99]), up=np.array([True, True, False]),
+                k_u=16.0, k_d=12.99)
+    res = _clear_by_class(g, s, market)
     assert_allclose(res.X, [2.0, 2.0, 0.0], rtol=0, atol=1e-12)
     assert_allclose(res.claims, [1.0, 1.0, 2.0], rtol=0, atol=1e-12)
     assert _residual(g, s, market, res.X) <= 1e-12
@@ -413,10 +441,10 @@ def test_greatest_of_many_fixed_points():
     # with t in [0, 8] is a fixed point, and clearing must return the top one
     market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
                           u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
-    g = LiabilityGraph(n1=0, n2=3, y=10.0, eps=0.0, w_g1=0.0, w_g2=5.0)
-    s = ShockVector(k=np.array([16.0, 16.0, 13.0]), up=np.array([True, True, False]),
-                    k_u=16.0, k_d=13.0)
-    res = solve_clearing(g, s, market)
+    g = _peer_graph(w_g2=5.0)
+    s = _Shocks(k=np.array([16.0, 16.0, 13.0]), up=np.array([True, True, False]),
+                k_u=16.0, k_d=13.0)
+    res = _clear_by_class(g, s, market)
     assert_allclose(res.X, [10.0, 10.0, 8.0], rtol=0, atol=1e-12)
     assert _residual(g, s, market, res.X) <= 1e-12
     assert_allclose(_oracle_greatest(g, s, market), res.X, rtol=0, atol=1e-12)
@@ -506,11 +534,9 @@ def test_jump_waits_for_rows_that_may_clip_at_zero():
     # jump taken across them would land below the greatest fixed point
     market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
                           u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
-    peers, safe = _full_edges(0, 5)
-    g = LiabilityGraph(n1=0, n2=5, y=10.0, eps=0.0, w_g1=0.0, w_g2=0.9 / 4 * 10.0,
-                       peers=peers, safe=safe)
+    g = _complete(0, 5, 10.0, 0.0, 0.0, 0.9 / 4 * 10.0)
     up = np.array([True, True, True, False, False])
-    s = ShockVector(k=np.where(up, 16.0, 11.0), up=up, k_u=16.0, k_d=11.0)
+    s = ShockVector(k=np.where(up, 16.0, 11.0))
     res = solve_clearing(g, s, market)
     assert np.all(res.X >= np.where(up, 20 / 11, 0.0) - 1e-12 * g.y)
     assert _residual(g, s, market, res.X) <= 2e-10
@@ -575,11 +601,8 @@ def test_tiny_net_proceeds_fall_back_to_plain_sweeps(n_up, k_d):
     # above the fixed point.  With k - v = 0.5 in every row it certifies instead
     market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
                           u=0.13, d=-0.6, r_s=0.1, r_b=0.11)
-    peers, safe = _full_edges(0, 5)
-    g = LiabilityGraph(n1=0, n2=5, y=10.0, eps=0.0, w_g1=0.0, w_g2=0.9 / 4 * 10.0,
-                       peers=peers, safe=safe)
-    up = np.arange(5) < n_up
-    s = ShockVector(k=np.where(up, 16.0, k_d), up=up, k_u=16.0, k_d=k_d)
+    g = _complete(0, 5, 10.0, 0.0, 0.0, 0.9 / 4 * 10.0)
+    s = ShockVector(k=np.where(np.arange(5) < n_up, 16.0, k_d))
     # every row pays part of y, so the fixed point solves (I - N) X = k - v
     exact = np.linalg.solve(np.eye(5) - _peer_shares(g), s.k - market.v)
     assert np.all(exact < g.y)

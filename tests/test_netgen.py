@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from sysrisk import MarketParams, ParamError, netgen
-from sysrisk.netgen import sample_network, sample_shocks
+from sysrisk import MarketParams, ParamError, derive, netgen
+from sysrisk.model import borrower_debt
+from sysrisk.netgen import edge_weights, sample_network, sample_shocks
 
 
 @pytest.fixture(scope="module")
@@ -19,21 +20,32 @@ def market():
 
 
 def test_complete_graph_weights(market):
-    g = sample_network(market, 3, 5, np.random.default_rng(0))
-    assert g.peers is None and g.safe is None and g.indicator is None
-    assert g.n == 8 and g.eps == 3 / 8
+    w_g1, w_g2 = edge_weights(market, 3, 5)
     # risk-free edge weight w (1 + r_b) / n
-    assert g.w_g1 == pytest.approx(70 * 1.11 / 8)
+    assert w_g1 == pytest.approx(70 * 1.11 / 8)
     # every borrower owes all n1 risk-free agents and its n2 - 1 risky peers,
     # and those obligations sum to its full liability y
-    assert g.n1 * g.w_g1 + (g.n2 - 1) * g.w_g2 == pytest.approx(g.y, rel=1e-12)
+    assert 3 * w_g1 + (5 - 1) * w_g2 == pytest.approx(borrower_debt(market, 3 / 8), rel=1e-12)
+    # the complete graph is cleared by class from its weights, and never drawn
+    with pytest.raises(ParamError, match="^p_ss: "):
+        sample_network(market, 3, 5, np.random.default_rng(0))
+
+
+def test_sampled_graph_without_borrowers_draws_nothing(market):
+    rng = np.random.default_rng(6)
+    before = rng.bit_generator.state
+    g = sample_network(replace(market, p_ss=0.3), 4, 0, rng)
+    assert rng.bit_generator.state == before
+    for edges in (g.peers, g.safe):
+        assert edges.borrower.size == edges.creditor.size == 0
+    assert g.indicator.shape == (0, 4)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n1=st.integers(0, 30), n2=st.integers(2, 30))
 def test_borrower_shares_sum_to_one(market, n1, n2):
-    g = sample_network(market, n1, n2, np.random.default_rng(1))
-    shares = (g.n1 * g.w_g1 + (g.n2 - 1) * g.w_g2) / g.y
+    w_g1, w_g2 = edge_weights(market, n1, n2)
+    shares = (n1 * w_g1 + (n2 - 1) * w_g2) / borrower_debt(market, n1 / (n1 + n2))
     assert shares == pytest.approx(1.0, rel=1e-12)
 
 
@@ -43,7 +55,6 @@ def test_sparse_shares_concentrate(market):
     n1 = n // 4
     n2 = n - n1
     g = sample_network(sparse, n1, n2, np.random.default_rng(5))
-    assert g.peers is not None and g.safe is not None
     owed = (g.w_g1 * np.bincount(g.safe.borrower, minlength=n2)
             + g.w_g2 * np.bincount(g.peers.borrower, minlength=n2))
     assert float((owed / g.y).mean()) == pytest.approx(1.0, abs=0.02)
@@ -109,10 +120,12 @@ def test_chunked_gaps_link_the_same_cells(monkeypatch):
 
 
 def test_single_borrower_has_no_peer_edges(market):
-    g = sample_network(market, 4, 1, np.random.default_rng(2))
-    assert g.indicator is None and g.w_g2 == 0.0
+    w_g1, w_g2 = edge_weights(market, 4, 1)
+    assert w_g2 == 0.0
     # the lone borrower owes only the four risk-free agents, each w (1 + r_b) / n
-    assert g.w_g1 == pytest.approx(70 * 1.11 / 5)
+    assert w_g1 == pytest.approx(70 * 1.11 / 5)
+    g = sample_network(replace(market, p_ss=0.3), 4, 1, np.random.default_rng(2))
+    assert g.peers.borrower.size == 0 and g.w_g2 == 0.0
 
 
 def test_sampling_is_reproducible(market):
@@ -127,18 +140,19 @@ def test_sampling_is_reproducible(market):
 
 
 def test_tiny_networks_rejected(market):
-    with pytest.raises(ParamError):
-        sample_network(market, 1, 0, np.random.default_rng(0))
-    with pytest.raises(ParamError):
-        sample_network(market, -1, 5, np.random.default_rng(0))
+    sparse = replace(market, p_ss=0.3)
+    with pytest.raises(ParamError, match="^n1/n2: "):
+        sample_network(sparse, 1, 0, np.random.default_rng(0))
+    with pytest.raises(ParamError, match="^n1/n2: "):
+        sample_network(sparse, -1, 5, np.random.default_rng(0))
 
 
 def test_shock_draws(market):
     rng = np.random.default_rng(3)
     s = sample_shocks(market, 5000, 0.35, rng)
-    assert set(np.unique(s.k)) == {s.k_d, s.k_u}
-    assert_array_equal(s.k == s.k_u, s.up)
-    assert float(s.up.mean()) == pytest.approx(market.delta, abs=0.02)
+    der = derive(market, 0.35)
+    assert set(np.unique(s.k)) == {der.k_d, der.k_u}
+    assert float((s.k == der.k_u).mean()) == pytest.approx(market.delta, abs=0.02)
     # proceeds levels scale with the round's risk-free fraction
-    assert s.k_u == pytest.approx(70 * 1.35 * 1.13)
-    assert s.k_d == pytest.approx(70 * 1.35 * 0.4)
+    assert der.k_u == pytest.approx(70 * 1.35 * 1.13)
+    assert der.k_d == pytest.approx(70 * 1.35 * 0.4)

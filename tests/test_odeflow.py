@@ -138,6 +138,11 @@ def test_round_walker_edges(growth_market, growth_dyn):
         finite_round_estimate(growth_market, growth_dyn, 0.85, -1, 10)
     with pytest.raises(ParamError):
         finite_round_estimate(growth_market, growth_dyn, 0.85, 0, -1)
+    # the round clock takes the same counts
+    assert round_clock(300, 0) == 0.0
+    for rounds in (-5, 2.5):
+        with pytest.raises(ParamError, match="^rounds: "):
+            round_clock(300, rounds)
 
 
 def test_classifier_growth(growth_market, growth_dyn):
@@ -205,6 +210,13 @@ def test_flow_input_validation(growth_market, growth_dyn):
 def test_flow_rejects_non_finite_time(growth_market, growth_dyn, solve, t):
     with pytest.raises(ParamError, match="^t: "):
         solve(growth_market, growth_dyn, 0.5, 1.0, t)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+def test_rk4_rejects_bad_horizon(growth_market, growth_dyn, horizon):
+    # checked before the first step: an infinite horizon would never return
+    with pytest.raises(ParamError, match="^horizon: "):
+        ode_numeric(growth_market, growth_dyn, 0.5, 1.0, horizon, 1e-3)
 
 
 @pytest.mark.parametrize("l, k", [(0, math.inf), (0, math.nan), (math.nan, 10), (0, 10.5)])

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sysrisk import DynamicsParams, MarketParams, RoundRecord, Trajectory, derive
-from sysrisk.model import count_bound
-from sysrisk.netgen import sample_network
+from sysrisk import DynamicsParams, MarketParams, RoundRecord, Trajectory, clearing, derive
+from sysrisk.clearing import ReturnsVector, defaulted, surpluses
+from sysrisk.model import borrower_debt, count_bound
+from sysrisk.netgen import edge_weights, sample_shocks
 from sysrisk.replicator import (
     PopulationState,
-    _agent_round,
+    _agent_flows,
     _count_round,
+    _draw_counts,
     _imitate,
     estimate_limit,
     initial_state,
@@ -263,12 +265,62 @@ ORACLE_CASES = {
 }
 
 
+def _newton_clearing(b, sig2, y):
+    """Greatest X with X_i = clip(b_i + sig2 * (sum(X) - X_i), 0, y): the complete graph.
+
+    Newton from above, Eisenberg & Noe's fictitious default: from X = y, read each
+    agent's regime at X (pays y, 0 or part of y) and solve the partial payers P
+    exactly with the rest held, ((1 + sig2) I - sig2 11^T) x_P = b_P + sig2 * y * |F|
+    over the full payers F, by Sherman-Morrison.  Where X >= T(X) and X is above the
+    greatest fixed point X*, that solve lands in [X*, X] and again above its map, so
+    regimes only fall and the steps end once they repeat.  Agent by agent, and
+    shares no code with `class_fixed_point`.
+    """
+    X, scale, held = np.full(b.size, y), 1.0 + sig2, None
+    for _ in range(2 * b.size + 2):
+        pre = b + sig2 * (X.sum() - X)
+        full, part = pre >= y, (pre > 0.0) & (pre < y)
+        if held is not None and np.array_equal(full, held[0]) and np.array_equal(part, held[1]):
+            return X
+        held = full, part
+        r = b[part] + sig2 * y * np.count_nonzero(full)
+        paid_p = r.sum() / (scale - sig2 * r.size)  # 1^T x_P
+        X = np.where(full, y, 0.0)
+        X[part] = np.clip((r + sig2 * paid_p) / scale, 0.0, y)
+    raise AssertionError("Newton from above: the regimes never settled")
+
+
+def _newton_round(state, market, dyn, rng):
+    """`_agent_round` on the complete graph: its flows, on returns of `_newton_clearing`.
+
+    Draws as `_agent_round` does (the complete graph has no links to draw), and
+    certifies every solve from outside: one map application moves no payment by
+    more than 1e-12 * y.
+    """
+    n1, n2, eps = state.n1, state.n2, state.eps
+    counts = _draw_counts(rng, dyn)
+    k = sample_shocks(market, n2, eps, rng).k
+    y, (w_g1, w_g2) = borrower_debt(market, eps), edge_weights(market, n1, n2)
+    X = _newton_clearing(k - market.v, w_g2 / y, y)
+    owed_in = w_g2 / y * (X.sum() - X)
+    assert np.all(np.abs(np.clip(k + owed_in - market.v, 0.0, y) - X) <= 1e-12 * y)
+    r1, r2 = surpluses(market, eps, y, np.full(n1, w_g1 / y * X.sum()), (k, owed_in))
+    returns = ReturnsVector(r=np.concatenate([r1, r2]), n1=n1,
+                            defaults=np.flatnonzero(defaulted(X, y)))
+    return _agent_flows(state, dyn, counts, returns, rng)
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("the agent-level oracle reached class_fixed_point")
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_count_round_matches_agent_round(case, imitation_market):
+def test_count_round_matches_agent_round(case, imitation_market, monkeypatch):
     dyn, which, state = ORACLE_CASES[case]
     market = imitation_market if which == "imitation" else SYSTEMIC
     counted = _round_law(_count_round, market, dyn, state, 101, ORACLE_DRAWS)
-    agents = _round_law(_agent_round, market, dyn, state, 202, ORACLE_DRAWS)
+    monkeypatch.setattr(clearing, "class_fixed_point", _no_kernel)
+    agents = _round_law(_newton_round, market, dyn, state, 202, ORACLE_DRAWS)
     for k, name in enumerate(ROUND_LAW):
         a = np.array([row[k] for row in counted], dtype=float)
         b = np.array([row[k] for row in agents], dtype=float)
@@ -307,10 +359,9 @@ def test_count_round_all_risky():
 def test_count_round_single_risky_agent_has_no_peer(imitation_market):
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8)
     state = PopulationState(round=0, n1=99, n2=1, psi=1.0)
-    graph = sample_network(imitation_market, 99, 1, None)
-    assert graph.w_g2 == 0.0
-    der = derive(imitation_market, graph.eps)
-    expect = {max(k - imitation_market.v - graph.y, 0.0) for k in (der.k_u, der.k_d)}
+    assert edge_weights(imitation_market, 99, 1)[1] == 0.0
+    der = derive(imitation_market, state.eps)
+    expect = {max(k - imitation_market.v - der.y, 0.0) for k in (der.k_u, der.k_d)}
     for nxt, rec in _count_rounds(imitation_market, dyn, state, 3, 200):
         # with no peer to lend to it, the one borrower earns its own proceeds less its debt
         assert rec.mean_r2 in expect
