@@ -3,8 +3,9 @@
 
 For each market: the limit curves over a fraction grid (clearing payment,
 default probability, returns, win probability), the switching thresholds,
-the attractor partition for a few dynamics settings, and the stability
-verdicts for the pure strategies.
+the attractor partition for a few dynamics settings, the stability
+verdicts for the pure strategies, and the limit of the average-return
+dynamics (`avg_limit`).
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from sysrisk import DynamicsParams, check_mixed_ess, classify_attractors, thresholds
+from sysrisk import (DynamicsParams, avg_limit, check_mixed_ess, classify_attractors,
+                     thresholds)
 from sysrisk.cli import main as cli_main
 from sysrisk.harness import save_config, table2_spec, table3_spec
 
@@ -48,6 +50,8 @@ def main() -> int:
             print(f"  candidate {cand:g}: "
                   f"{'stable' if verdict.is_ess else 'invadable'} "
                   f"(margin {verdict.margin:.4f})")
+        avg = avg_limit(config.market)
+        print(f"  average-return limit {avg.limit:g} ({avg.case}, applies={avg.applies})")
     return 0
 
 

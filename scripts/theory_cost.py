@@ -11,7 +11,10 @@
 - `assert_horizon` over every table 2, 3 and 4 row: milliseconds in all;
 - `ode_numeric` for criterion 3's two RK4 runs (imitation market from
   eps0 = 0.4 to flow time 10 at step 1e-3, departures off and on):
-  milliseconds for the pair.
+  milliseconds for the pair;
+- `ode_numeric` for the 18 table 2, 3 and 4 rows and figure configs, each
+  from its eps0 with psi = 1 to its horizon on the round clock at step
+  1e-3: milliseconds in all.
 
 Each figure is the median of `TIMINGS` timings.
 
@@ -28,7 +31,7 @@ from sysrisk import DynamicsParams, MarketParams
 from sysrisk.analytic import clearing_limit, limit_returns, q_eps
 from sysrisk.harness import (assert_horizon, figure_configs, flow_curve, table2_spec,
                              table3_spec, table4_spec)
-from sysrisk.odeflow import finite_round_estimate, ode_numeric
+from sysrisk.odeflow import finite_round_estimate, ode_numeric, round_clock
 
 TIMINGS = 5
 FIRST_ROUND = 250
@@ -80,6 +83,13 @@ def main() -> int:
     cost = median_seconds(lambda: [ode_numeric(IMITATION, dyn, 0.4, 1.0, 10.0, 1e-3)
                                    for dyn in RK4_RUNS])
     print(f"{'ode_numeric, criterion 3 pair':<40} {cost * 1e3:>7.2f} ms")
+
+    flows = rows + list(figure_configs())
+    cost = median_seconds(lambda: [
+        ode_numeric(config.market, config.dynamics, config.dynamics.eps0, 1.0,
+                    round_clock(config.dynamics.n0, config.dynamics.rounds), 1e-3)
+        for config in flows])
+    print(f"{f'ode_numeric, {len(flows)} table and figure flows':<40} {cost * 1e3:>7.2f} ms")
     return 0
 
 

@@ -7,6 +7,7 @@ here are pure and O(1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,3 +162,7 @@ class DynamicsParams:
         _require(self.n0 >= 2, "n0", "need at least two starting agents")
         _require(0 <= self.eps0 <= 1, "eps0", "fraction outside [0, 1]")
         _require(self.rounds >= 0, "rounds", "horizon cannot be negative")
+        for name in ("bound_N", "bound_L", "n0", "rounds"):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and count >= 0):
+                raise ParamError(f"{name}: count must be a non-negative integer, got {count!r}")

@@ -382,84 +382,77 @@ def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float
 
 def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
                 horizon: float, step: float) -> Trajectory:
-    """Fixed-step RK4 integration of the flow, with threshold events located.
+    """Fixed-step RK4 integration of the flow, one threshold segment per step.
 
-    Independent of the closed form: integrates the raw right-hand side and
-    only uses the analytic layer for the switching thresholds and drift
-    rates.  Records one `OdeState` per accepted step (plus one per event
-    landing); once frozen at an interior threshold its rows are `pinned`.
+    Independent of the closed form: it shares only the flow table, `_locate`
+    and `_psi_after`.  Each step integrates the fixed field (kappa, departure
+    mass and psi target) of the segment `_locate` names, so no step evaluates
+    two segments' fields.  A step whose end reaches that segment's edge in
+    the flow's direction is cut by bisection on its length and lands on the
+    edge.  `_locate` then picks the next segment, or the flow is held there:
+    pinned at an interior threshold, its rows then `pinned`, or absorbed at 0
+    or 1.  A held flow's psi relaxes in closed form.  Records one `OdeState`
+    per step.  A step that ends behind the flow, off its segment or at NaN,
+    or whose population rate leaves (0, inf), raises a `step:` ParamError.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ParamError(f"step: must be finite and positive, got {step!r}")
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ParamError(f"horizon: flow time must be finite and non-negative, got {horizon!r}")
     _check_start(eps0, psi0)
-    beta, k1 = drift_rates(params, dyn)
     table = _flow_table(params, dyn, dyn.mean_L)
 
-    def rhs(eps: float, psi: float) -> tuple[float, float]:
-        if psi <= 0.0:
+    def rk4(seg: _Segment, eps: float, psi: float, h: float) -> tuple[float, float]:
+        a = seg.a
+        p2 = psi + 0.5 * h * (a - psi)
+        p3 = psi + 0.5 * h * (a - p2)
+        p4 = psi + h * (a - p3)
+        p_end = psi + h / 6.0 * ((a - psi) + 2 * (a - p2) + 2 * (a - p3) + (a - p4))
+        if not min(p2, p3, p4, p_end) > 0.0:
             raise ParamError("step: population rate left (0, inf); reduce the step size")
-        kappa = k1 if eps < table.eps_bar else beta
-        dep = table.departures_at(eps)
-        de = (kappa * eps * (1.0 - eps) + eps * dep) / psi
-        return de, (dyn.mean_N - dep) - psi
+        a1 = seg.drift(eps) / psi
+        a2 = seg.drift(eps + 0.5 * h * a1) / p2
+        a3 = seg.drift(eps + 0.5 * h * a2) / p3
+        a4 = seg.drift(eps + h * a3) / p4
+        return eps + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4), p_end
 
-    def rk4(eps: float, psi: float, h: float) -> tuple[float, float, bool]:
-        a1, b1 = rhs(eps, psi)
-        a2, b2 = rhs(eps + 0.5 * h * a1, psi + 0.5 * h * b1)
-        a3, b3 = rhs(eps + 0.5 * h * a2, psi + 0.5 * h * b2)
-        a4, b4 = rhs(eps + h * a3, psi + h * b3)
-        return (eps + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4),
-                psi + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4),
-                a1 * a2 < 0.0 or a1 * a3 < 0.0 or a1 * a4 < 0.0)  # a stage's drift turned
+    def settle(eps: float) -> tuple[tuple[_Segment, float] | None, bool]:
+        """(segment, direction) the flow takes from eps, None if held there; and pinned."""
+        if 0.0 < eps < 1.0:
+            located = _locate(table.segs, eps)
+            return located, located is None
+        return None, False
 
-    event_edges = [s.hi for s in table.segs]
     records = [OdeState(eps0, psi0, 0.0)]
     eps, psi, now = eps0, psi0, 0.0
-    frozen, pinned = eps <= 0.0 or eps >= 1.0, False
+    located, pinned = settle(eps)
     while now < horizon - 1e-15:
         h = min(step, horizon - now)
-        if frozen:
+        if located is None:
             psi = _psi_after(dyn.mean_N - table.departures_at(eps), psi, h)
-            now += h
-            records.append(OdeState(eps, psi, now, pinned))
-            continue
-        e2, p2, turned = rk4(eps, psi, h)
-        up = e2 > eps
-        hits = [e for e in event_edges if eps < e <= e2 or e2 <= e < eps]
-        if turned and not hits:  # a stage crossed the edge ahead: land on it if it pins the flow
-            ahead_up = rhs(eps, psi)[0] > 0.0
-            ahead = [e for e in event_edges if (eps < e) == ahead_up and e < 1.0]
-            if ahead and _locate(table.segs, min(ahead) if ahead_up else max(ahead)) is None:
-                hits, up = ahead, ahead_up
-        if not hits:
-            if e2 < -1e-9 or e2 > 1.0 + 1e-9:
-                raise ParamError("step: state left [0, 1]; reduce the step size")
-            eps, psi, now = min(max(e2, 0.0), 1.0), p2, now + h
-            records.append(OdeState(eps, psi, now))
-            continue
-        target = min(hits) if up else max(hits)
-        lo_t, hi_t = 0.0, h
-        while hi_t - lo_t > 1e-12:
-            mid = 0.5 * (lo_t + hi_t)
-            em = rk4(eps, psi, mid)[0]
-            if (em >= target) if up else (em <= target):
-                hi_t = mid
-            else:
-                lo_t = mid
-        psi = rk4(eps, psi, hi_t)[1]
-        now += hi_t
-        eps = target
-        if target >= 1.0:
-            frozen = True
         else:
-            decision = _locate(table.segs, target)
-            if decision is None:
-                frozen = pinned = True
-            else:  # step off the edge in the flow's direction
-                eps = target + math.copysign(1e-13, decision[1])
-        records.append(OdeState(min(eps, 1.0), psi, now, pinned))
+            seg, direction = located
+            up = direction > 0.0
+            edge = seg.hi if up else seg.lo
+            e2, p2 = rk4(seg, eps, psi, h)
+            if (e2 >= edge) if up else (e2 <= edge):  # cut the step to land on the edge
+                lo_t, hi_t = 0.0, h
+                while hi_t - lo_t > 1e-12:
+                    mid = 0.5 * (lo_t + hi_t)
+                    em = rk4(seg, eps, psi, mid)[0]
+                    if (em >= edge) if up else (em <= edge):
+                        hi_t = mid
+                    else:
+                        lo_t = mid
+                h, eps, psi = hi_t, edge, rk4(seg, eps, psi, hi_t)[1]
+                located, pinned = settle(edge)
+            elif seg.lo <= e2 <= seg.hi and ((e2 >= eps) if up else (e2 <= eps)):
+                eps, psi = e2, p2
+            else:
+                raise ParamError("step: RK4 ended behind the flow or off its segment; "
+                                 "reduce the step size")
+        now += h
+        records.append(OdeState(eps, psi, now, pinned))
     return Trajectory(records=records)
 
 

@@ -174,7 +174,7 @@ FLOW_PINS = {
     "figure eps0=0.2": "9d7ace9c0f4745f2c41be1edffc9fe3d43225348a9999b16ef1bc33fe727ee18",
     "figure eps0=0.5": "6d12e1620f7482c63686199a2115948f8dab4d707a1da8c4234e5d09a0e09e58",
     "figure eps0=0.8": "9bd758bef96cdce1d94714b942f622931003f07a342d92d3d14be25e4026404e",
-    "rk4 table3 row 0": "856d18be228c9956d75e6f0a544851eadb3b43aff249143ab5b1b841e1598dcc",
+    "rk4 table3 row 0": "501b574d5bc8cb2f32b6f629dd1d79b8e36e869decc4537b004556b0eee5ddc6",
 }
 
 

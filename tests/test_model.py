@@ -45,6 +45,14 @@ def test_dynamics_invariants():
         DynamicsParams(mean_N=5.0, mean_S=1.0, bound_N=4)
 
 
+@pytest.mark.parametrize("name, count", [("rounds", 2.5), ("rounds", 1000.0), ("n0", 300.5),
+                                         ("bound_N", 14.5), ("bound_L", 12.5)])
+def test_dynamics_counts_are_integers(name, count):
+    # a non-integer count would otherwise construct and fail deep in a run, or run silently
+    with pytest.raises(ParamError, match=f"^{name}: count must be a non-negative integer"):
+        DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, **{name: count})
+
+
 def test_dynamics_default_bounds():
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6)
     assert dyn.bound_N == 14

@@ -4,18 +4,21 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, ParamError
 from sysrisk.analytic import drift_rates
-from sysrisk.harness import table2_spec
+from sysrisk.harness import figure_configs, table2_spec, table3_spec, table4_spec
 from sysrisk.odeflow import (
     DegenerateFlowError,
     _cross_time,
     _eps_after,
+    _flow_legs,
     _flow_table,
     _Segment,
+    _state_at,
     avg_limit,
     classify_attractors,
     finite_round_estimate,
@@ -103,9 +106,9 @@ def test_rk4_matches_closed_form(imitation_market, imitation_dynamics,
 
 def test_rk4_rows_pinned_as_the_closed_form():
     # table 2's b = 0.4, delta = 0.85, eps0 = 0.8 cell to its 1 000-round horizon: the
-    # flow rises onto the threshold eps_bar and stays, pinned.  RK4's stages cross it a
-    # step before the landing and turn back; that step lands on it instead of stepping
-    # back down, and every row from there on is pinned, as the closed form's rows are
+    # flow rises onto the threshold eps_bar and stays, pinned.  The RK4 step whose end
+    # would pass it is cut to land on it, and every row from there on is pinned, as the
+    # closed form's rows are
     config = table2_spec(n_seeds=1).rows[2].config
     dyn = config.dynamics
     traj = ode_numeric(config.market, dyn, dyn.eps0, 1.0, round_clock(dyn.n0, dyn.rounds), 1e-3)
@@ -114,6 +117,59 @@ def test_rk4_rows_pinned_as_the_closed_form():
     assert [rec.pinned for rec in traj.records] == [ref.pinned for ref in refs]
     assert 0 < sum(rec.pinned for rec in traj.records) < len(traj.records)
     assert max(abs(rec.eps - ref.eps) for rec, ref in zip(traj.records, refs)) <= 1e-12
+
+
+FLOWS = {f"{spec.name} row {i}": row.config
+         for spec in (table2_spec(1), table3_spec(1), table4_spec(1))
+         for i, row in enumerate(spec.rows)}
+FLOWS.update((config.label, config) for config in figure_configs())
+
+
+@pytest.mark.parametrize("name", list(FLOWS))
+def test_rk4_meets_the_closed_flow(name):
+    # every table and figure flow from its eps0 to its horizon: each RK4 row within
+    # criterion 3's departures bound of the closed form at the same t.  Pinned flags
+    # agree except on the row where RK4 lands on a pinning threshold: its landing time
+    # differs from the certified crossing time by RK4's own error, so the closed form
+    # may not quite have reached the threshold there
+    config = FLOWS[name]
+    dyn = config.dynamics
+    traj = ode_numeric(config.market, dyn, dyn.eps0, 1.0, round_clock(dyn.n0, dyn.rounds), 1e-3)
+    legs = _flow_legs(config.market, dyn, dyn.eps0, 1.0, dyn.mean_L)
+    landings = 0
+    for rec in traj.records:
+        ref = _state_at(legs, rec.t)
+        assert abs(rec.eps - ref.eps) <= 1e-5 and abs(rec.psi - ref.psi) <= 1e-5
+        if rec.pinned != ref.pinned:
+            landings += 1
+            assert rec.pinned and abs(ref.eps - rec.eps) <= 1e-12
+    assert landings <= 1
+
+
+def test_rk4_large_steps_integrate_or_refuse():
+    # no step returns a fraction outside [0, 1] or a non-positive rate; a step RK4
+    # cannot take raises, and every step of 0.3 or less integrates every flow
+    for config in FLOWS.values():
+        for step in np.geomspace(0.05, 4.0, 25).tolist():
+            for eps0 in (0.05, 0.3, 0.5, 0.7, 0.95):
+                try:
+                    traj = ode_numeric(config.market, config.dynamics, eps0, 1.0, 8.0, step)
+                except ParamError as err:
+                    assert str(err).startswith("step: ") and step > 0.3
+                    continue
+                assert all(0.0 <= rec.eps <= 1.0 and rec.psi > 0.0 for rec in traj.records)
+
+
+@pytest.mark.parametrize("name, step, eps0", [("table2 row 0", 0.537, 0.95),
+                                              ("table2 row 3", 0.644, 0.05),
+                                              ("table3 row 0", 0.447, 0.95),
+                                              ("table3 row 0", 0.537, 0.3)])
+def test_rk4_refuses_a_step_that_leaves_its_segment(name, step, eps0):
+    # each of these runs has a step that ends behind the flow or past its segment's
+    # far side; integrated on from there, eps runs off to NaN or to -inf
+    config = FLOWS[name]
+    with pytest.raises(ParamError, match="^step: "):
+        ode_numeric(config.market, config.dynamics, eps0, 1.0, 8.0, step)
 
 
 @pytest.mark.parametrize("b, delta, eps0, expected", [

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,6 +26,18 @@ def _load(path: Path):
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.stem)
 def test_script_imports(path):
     assert callable(_load(path).main)
+
+
+def test_analytic_curves_prints_the_average_return_limit(tmp_path, monkeypatch, capsys):
+    analytic_curves = _load(SCRIPTS / "analytic_curves.py")
+    monkeypatch.setattr(sys, "argv", ["analytic_curves.py", "--out", str(tmp_path)])
+    assert analytic_curves.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    # one line per preset market (growth, imitation), after its stability verdicts
+    limits = [i for i, line in enumerate(lines) if line.startswith("  average-return limit")]
+    assert [lines[i] for i in limits] == ["  average-return limit 1 (all-safe, applies=True)"] * 2
+    assert all(lines[i - 1].startswith("  candidate 1: ") for i in limits)
+    assert (tmp_path / "growth" / "analytic.csv").is_file()
 
 
 def test_round_cost_plays_rounds():
