@@ -14,7 +14,10 @@
   milliseconds for the pair;
 - `ode_numeric` for the 18 table 2, 3 and 4 rows and figure configs, each
   from its eps0 with psi = 1 to its horizon on the round clock at step
-  1e-3: milliseconds in all.
+  1e-3: milliseconds in all;
+- the averaging dynamics: `avg_limit` on the four markets of the limit
+  grid plus `check_avg_ess` at 0 and 1 on the imitation market:
+  milliseconds in all.
 
 Each figure is the median of `TIMINGS` timings.
 
@@ -29,9 +32,10 @@ from dataclasses import replace
 
 from sysrisk import DynamicsParams, MarketParams
 from sysrisk.analytic import clearing_limit, limit_returns, q_eps
+from sysrisk.ess import check_avg_ess
 from sysrisk.harness import (assert_horizon, figure_configs, flow_curve, table2_spec,
                              table3_spec, table4_spec)
-from sysrisk.odeflow import finite_round_estimate, ode_numeric, round_clock
+from sysrisk.odeflow import avg_limit, finite_round_estimate, ode_numeric, round_clock
 
 TIMINGS = 5
 FIRST_ROUND = 250
@@ -90,6 +94,10 @@ def main() -> int:
                     round_clock(config.dynamics.n0, config.dynamics.rounds), 1e-3)
         for config in flows])
     print(f"{f'ode_numeric, {len(flows)} table and figure flows':<40} {cost * 1e3:>7.2f} ms")
+
+    cost = median_seconds(lambda: ([avg_limit(market) for market in MARKETS.values()],
+                                   [check_avg_ess(IMITATION, eps) for eps in (0.0, 1.0)]))
+    print(f"{'averaging: 4 avg_limit, 2 check_avg_ess':<40} {cost * 1e3:>7.2f} ms")
     return 0
 
 

@@ -125,16 +125,11 @@ def limit_returns(params: MarketParams, eps: float) -> LimitReturns:
 def mean_return_gap(params: MarketParams, eps: float) -> float:
     """Risk-free minus expected risky limit return at fraction eps.
 
-    Its sign drives the averaging dynamics and their stability check.
+    Its sign drives the averaging dynamics (`odeflow.avg_limit` reads its
+    profile over eps) and their stability check.
     """
     lr = limit_returns(params, eps)
     return lr.r1 - (params.delta * lr.r2_up + (1.0 - params.delta) * lr.r2_down)
-
-
-def return_gap_scan(params: MarketParams) -> tuple[list[float], list[float]]:
-    """The fractions i/400, i = 1..399, and `mean_return_gap` at each."""
-    grid = [i / 400.0 for i in range(1, 400)]
-    return grid, [mean_return_gap(params, e) for e in grid]
 
 
 def _win_probability(params: MarketParams, lr: LimitReturns) -> float:

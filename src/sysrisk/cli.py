@@ -18,7 +18,7 @@ from . import harness
 from .analytic import clearing_limit, limit_returns, q_eps, thresholds
 from .ess import EssMode, check_avg_ess, check_mixed_ess, check_multi_mutation
 from .model import ParamError
-from .odeflow import ode_numeric
+from .odeflow import avg_limit, ode_numeric
 
 
 def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
@@ -108,6 +108,9 @@ def cmd_ess(args: argparse.Namespace) -> int:
     market, dyn = config.market, config.dynamics
     mode = EssMode(args.mode)
     candidates = args.candidate if args.candidate else [0.0, 1.0]
+    if mode is EssMode.AVG_RETURN:
+        avg = avg_limit(market)
+        print(f"avg_limit={avg.limit:g} case={avg.case} applies={'yes' if avg.applies else 'no'}")
     for cand in candidates:
         if mode is EssMode.SWITCH_UTILITY:
             verdict = check_mixed_ess(market, dyn, cand)
@@ -122,8 +125,6 @@ def cmd_ess(args: argparse.Namespace) -> int:
             bits.append(f"x_bar={verdict.x_bar_used:g}")
         if verdict.predominant_switching is not None:
             bits.append(f"switching_dominant={'yes' if verdict.predominant_switching else 'no'}")
-        if verdict.multiple_sign_changes:
-            bits.append("multiple_sign_changes=yes")
         print(" ".join(bits))
     return 0
 

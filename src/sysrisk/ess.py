@@ -9,7 +9,8 @@ dynamics.  Both single-mutant checks run one verdict loop, each with its own
 advantage function, over fixed grids: every mutant fraction i/100 other than
 the candidate, at the shares in `_X_GRID`.  The multi-mutation check blends
 fixed mutant profiles around the candidate.  `_switch_gap` is the one switch
-utility gap formula.
+utility gap formula; the mean-return gap's sign profile over eps is read by
+`odeflow.avg_limit` alone.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .analytic import drift_rates, mean_return_gap, q_eps, return_gap_scan
+from .analytic import drift_rates, mean_return_gap, q_eps
 from .model import DynamicsParams, MarketParams, ParamError
 
 
@@ -37,9 +38,8 @@ class EssVerdict:
     mutants (None when the verdict is negative).  ``predominant_switching``
     records whether the switch-utility ranking carries the sign of the full
     dynamics (it does when sign(beta) equals sign(2 b_s - 1)); None for modes
-    where the gate is vacuous.  ``multiple_sign_changes`` flags averaging
-    profiles whose return gap changes sign more than once on the unit
-    interval, where a single interior crossing is assumed.
+    where the gate is vacuous.  A verdict says nothing of the shape of the
+    averaging dynamics' return gap over eps; `odeflow.avg_limit` reads that.
     """
 
     candidate: float
@@ -48,7 +48,6 @@ class EssVerdict:
     x_bar_used: float | None
     mode: EssMode
     predominant_switching: bool | None = None
-    multiple_sign_changes: bool = False
 
 
 _X_GRID = (1e-3, 1e-2, 0.05, 0.1)
@@ -167,15 +166,11 @@ def check_avg_ess(params: MarketParams, candidate: float) -> EssVerdict:
 
     The observation noise only affects how often a finite sample mis-orders
     the groups, not the expected-utility ranking, so the verdict depends on
-    the mean returns alone and the check takes no noise scale.
+    the mean returns alone and the check takes no noise scale.  Where the gap
+    is exactly 0 (rest points, see `odeflow.avg_limit`) it has no advantage.
     """
     ok, worst, x_bar = _single_mutant_verdict(
         candidate,
         lambda mut, x: (candidate - mut) * mean_return_gap(params, x * mut + (1.0 - x) * candidate))
-    # flag parameter sets where the return gap is not single-crossing
-    _, gaps = return_gap_scan(params)
-    signs = [g > 0.0 for g in gaps if g != 0.0]
-    flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return EssVerdict(candidate=candidate, is_ess=ok, margin=worst, x_bar_used=x_bar,
-                      mode=EssMode.AVG_RETURN,
-                      multiple_sign_changes=flips > 1)
+                      mode=EssMode.AVG_RETURN)

@@ -151,13 +151,17 @@ def config_from_flat(flat: dict[str, str]) -> ExperimentConfig:
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
     lines = [f"{key} = {value}" for key, value in config_to_flat(config).items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParamError(f"{path}: not UTF-8 text") from None
     flat: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

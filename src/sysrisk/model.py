@@ -25,6 +25,12 @@ def _require(cond: bool, name: str, msg: str) -> None:
         raise ParamError(f"{name}: {msg}")
 
 
+def require_count(name: str, count: object) -> None:
+    """ParamError unless `count` (an agent or round count) is a non-negative integer."""
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise ParamError(f"{name}: count must be a non-negative integer, got {count!r}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Economy-wide constants.
@@ -163,6 +169,4 @@ class DynamicsParams:
         _require(0 <= self.eps0 <= 1, "eps0", "fraction outside [0, 1]")
         _require(self.rounds >= 0, "rounds", "horizon cannot be negative")
         for name in ("bound_N", "bound_L", "n0", "rounds"):
-            count = getattr(self, name)
-            if not (isinstance(count, numbers.Integral) and count >= 0):
-                raise ParamError(f"{name}: count must be a non-negative integer, got {count!r}")
+            require_count(name, getattr(self, name))

@@ -24,15 +24,13 @@ variant of the dynamics.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import (clearing_limit, drift_rates, mean_return_gap, return_gap_scan,
-                       thresholds)
-from .model import DynamicsParams, MarketParams, ParamError, SolverError
+from .analytic import _bisect_step, clearing_limit, drift_rates, mean_return_gap, thresholds
+from .model import DynamicsParams, MarketParams, ParamError, SolverError, require_count
 from .records import OdeState, Trajectory
 
 
@@ -360,8 +358,7 @@ def _clock_sums(terms: list[float], ends: range) -> list[float]:
 
 def round_clock(n0: int, rounds: int) -> float:
     """Flow time after `rounds` rounds of a run that started from n0 agents."""
-    if not (isinstance(rounds, numbers.Integral) and rounds >= 0):
-        raise ParamError(f"rounds: round count must be a non-negative integer, got {rounds!r}")
+    require_count("rounds", rounds)
     return math.fsum(_clock_terms(n0, rounds))
 
 
@@ -372,9 +369,8 @@ def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float
     The estimate is the departure-free closed form from a unit population
     rate, run for the clock time those k rounds add.
     """
-    for name, rounds in (("l", l), ("k", k)):
-        if not (isinstance(rounds, numbers.Integral) and rounds >= 0):
-            raise ParamError(f"{name}: round count must be a non-negative integer, got {rounds!r}")
+    require_count("l", l)
+    require_count("k", k)
     terms = _clock_terms(dyn.n0, l + k)
     t_kl = math.fsum(terms) - math.fsum(terms[:l])
     return _state_at(_flow_legs(params, dyn, eps0, 1.0, 0.0), t_kl).eps
@@ -531,13 +527,7 @@ def classify_attractors(params: MarketParams, dyn: DynamicsParams) -> AttractorR
 
 @dataclass(frozen=True)
 class AvgLimit:
-    """Limit of the average-comparison flow.
-
-    `applies` is False when the return-gap sign pattern fits none of the
-    covered cases (all-negative, all-positive, or a single decreasing
-    crossing); the reported limit is then best-effort.  For the interior
-    case the delta->1 closed form (r_b - r̄)/(r̄ - r_s) rides along.
-    """
+    """`avg_limit`'s report, with the delta->1 closed form (r_b - r̄)/(r̄ - r_s)."""
 
     limit: float
     case: str
@@ -546,29 +536,32 @@ class AvgLimit:
 
 
 def avg_limit(params: MarketParams) -> AvgLimit:
+    """Limit of the averaging dynamics, from the sign profile of the return gap.
+
+    This is the one reader of that profile: `mean_return_gap` (r1 - E[r2])
+    at eps = i/400, i = 1..399.  The covered cases (`applies` True) are
+    all-risky (negative everywhere, limit 0), all-safe (positive everywhere,
+    limit 1) and interior (positive, then one sign change and never positive
+    again; the limit is where the gap first turns <= 0, bisected between the
+    scan points around the change).  A gap of exactly 0 means both groups earn
+    the same limit return (where seen, all of them 0), so each fraction of a
+    stretch of zeros is a rest point of the averaging dynamics and none
+    attracts: such a stretch fits no case unless it follows an interior
+    change.  Any other profile is `unclassified`, and its best-effort limit is
+    the last scan point before the first sign change (0 if the gap is all 0).
+    """
     r_bar = params.u * params.delta + params.d * (1 - params.delta)
-    closed = None
-    if r_bar > params.r_s:
-        closed = (params.r_b - r_bar) / (r_bar - params.r_s)
+    closed = (params.r_b - r_bar) / (r_bar - params.r_s) if r_bar > params.r_s else None
 
-    grid, diff = return_gap_scan(params)
-    if all(x < 0 for x in diff):
+    grid = [i / 400.0 for i in range(1, 400)]
+    signs = [(g > 0.0) - (g < 0.0) for g in (mean_return_gap(params, e) for e in grid)]
+    if all(s < 0 for s in signs):
         return AvgLimit(0.0, "all-risky", True, closed)
-    if all(x > 0 for x in diff):
+    if all(s > 0 for s in signs):
         return AvgLimit(1.0, "all-safe", True, closed)
-
-    crossings = [i for i in range(len(diff) - 1)
-                 if (diff[i] > 0 >= diff[i + 1]) or (diff[i] < 0 <= diff[i + 1])
-                 or (diff[i] == 0 != diff[i + 1])]
-    if len(crossings) == 1 and diff[crossings[0]] > 0:
-        lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mean_return_gap(params, mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return AvgLimit(0.5 * (lo + hi), "interior", True, closed)
-
-    best = grid[crossings[0]] if crossings else (1.0 if sum(diff) > 0 else 0.0)
-    return AvgLimit(best, "unclassified", False, closed)
+    changes = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
+    if len(changes) == 1 and signs[changes[0]] > 0:
+        limit = _bisect_step(lambda e: mean_return_gap(params, e) <= 0.0,
+                             grid[changes[0]], grid[changes[0] + 1])
+        return AvgLimit(limit, "interior", True, closed)
+    return AvgLimit(grid[changes[0]] if changes else 0.0, "unclassified", False, closed)

@@ -108,7 +108,8 @@ def test_ess_verdict_lines(config_path, capsys):
 
 
 @pytest.mark.parametrize("mode, lines", [
-    ("avg-return", ["candidate=0 mode=avg-return ess=no margin=-8.82812",
+    ("avg-return", ["avg_limit=1 case=all-safe applies=yes",
+                    "candidate=0 mode=avg-return ess=no margin=-8.82812",
                     "candidate=1 mode=avg-return ess=yes margin=0.166983 x_bar=0.1"]),
     ("multi-mutation",
      ["candidate=0 mode=multi-mutation ess=yes margin=0.018 x_bar=0.04 switching_dominant=yes",
@@ -119,12 +120,26 @@ def test_ess_mode_verdict_lines(config_path, capsys, mode, lines):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_ess_avg_return_reports_the_limit_once(capsys):
+    preset = Path(__file__).resolve().parent.parent / "configs" / "systemic_adaptive.txt"
+    assert main(["ess", "--config", str(preset), "--mode", "avg-return",
+                 "--candidate", "0", "--candidate", "0.37", "--candidate", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "avg_limit=0.37 case=unclassified applies=no"
+    assert [ln.split()[0] for ln in lines[1:]] == ["candidate=0", "candidate=0.37",
+                                                   "candidate=1"]
+
+
 def test_bad_inputs_exit_2(tmp_path, config_path, capsys):
     missing = tmp_path / "nope.txt"
     assert main(["simulate", "--config", str(missing)]) == 2
     bad = tmp_path / "bad.txt"
     bad.write_text("market.w = -3\n")
     assert main(["simulate", "--config", str(bad)]) == 2
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"market.w = 70\n\xff\n")
+    assert main(["analytic", "--config", str(binary)]) == 2
+    assert capsys.readouterr().err.endswith(f"\nerror: {binary}: not UTF-8 text\n")
     assert main(["simulate", "--config", str(config_path), "--seed", "x"]) == 2
     assert main(["simulate", "--config", str(config_path), "--seed", ","]) == 2
     figs = tmp_path / "figs"

@@ -1,6 +1,8 @@
 """Stability verdicts for pure and mixed strategy profiles."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from sysrisk.ess import (
     check_multi_mutation,
     switch_utility_gap,
 )
+from sysrisk.odeflow import avg_limit
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +98,23 @@ def test_avg_return_mode(imitation_market):
     safe = check_avg_ess(imitation_market, 0.0)
     assert not safe.is_ess
     assert safe.mode is EssMode.AVG_RETURN
-    assert not safe.multiple_sign_changes
+    assert avg_limit(imitation_market).applies
 
     risky = check_avg_ess(imitation_market, 1.0)
     assert risky.is_ess
     assert risky.margin == pytest.approx(0.1669831809863674)
+
+
+def test_avg_return_zero_stretch(imitation_market):
+    # both groups earn the same (zero) limit return at every scanned eps <= 0.37: a
+    # stretch of rest points, none attracting, so neither reader calls one stable
+    systemic = replace(imitation_market, v=70.0)
+    report = avg_limit(systemic)
+    assert (report.case, report.applies, report.limit) == ("unclassified", False, 0.37)
+    for candidate in (0.0, 0.37):
+        verdict = check_avg_ess(systemic, candidate)
+        assert not verdict.is_ess
+        assert verdict.margin == 0.0
+    top = check_avg_ess(systemic, 1.0)
+    assert top.is_ess
+    assert top.margin == pytest.approx(0.0699076, abs=1e-7)

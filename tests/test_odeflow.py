@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, ParamError
-from sysrisk.analytic import drift_rates
+from sysrisk.analytic import drift_rates, mean_return_gap
 from sysrisk.harness import figure_configs, table2_spec, table3_spec, table4_spec
 from sysrisk.odeflow import (
     DegenerateFlowError,
@@ -348,6 +348,18 @@ def test_avg_limit_all_safe(imitation_market):
     assert report.case == "all-safe"
     assert report.applies
     assert report.delta1_closed_form is None
+
+
+def test_avg_limit_interior_crossing():
+    # the gap is positive below one crossing and negative above it
+    market = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.93,
+                          u=0.16, d=-0.6, r_s=0.1, r_b=0.11)
+    report = avg_limit(market)
+    assert report.case == "interior"
+    assert report.applies
+    assert report.limit == pytest.approx(0.42415, abs=1e-5)
+    assert mean_return_gap(market, report.limit - 1e-9) > 0.0
+    assert mean_return_gap(market, report.limit + 1e-9) < 0.0
 
 
 def test_avg_limit_all_risky():
