@@ -17,7 +17,11 @@
   1e-3: milliseconds in all;
 - the averaging dynamics: `avg_limit` on the four markets of the limit
   grid plus `check_avg_ess` at 0 and 1 on the imitation market:
-  milliseconds in all.
+  milliseconds in all;
+- criterion 8's seven switch-utility verdicts: `check_mixed_ess` at 0, 1
+  and 0.5 on the imitation market and at 0 and 1 on the growth market, and
+  `check_multi_mutation` at 0 and 1 on the imitation market: milliseconds
+  in all.
 
 Each figure is the median of `TIMINGS` timings.
 
@@ -32,7 +36,7 @@ from dataclasses import replace
 
 from sysrisk import DynamicsParams, MarketParams
 from sysrisk.analytic import clearing_limit, limit_returns, q_eps
-from sysrisk.ess import check_avg_ess
+from sysrisk.ess import check_avg_ess, check_mixed_ess, check_multi_mutation
 from sysrisk.harness import (assert_horizon, figure_configs, flow_curve, table2_spec,
                              table3_spec, table4_spec)
 from sysrisk.odeflow import avg_limit, finite_round_estimate, ode_numeric, round_clock
@@ -98,6 +102,12 @@ def main() -> int:
     cost = median_seconds(lambda: ([avg_limit(market) for market in MARKETS.values()],
                                    [check_avg_ess(IMITATION, eps) for eps in (0.0, 1.0)]))
     print(f"{'averaging: 4 avg_limit, 2 check_avg_ess':<40} {cost * 1e3:>7.2f} ms")
+
+    cost = median_seconds(lambda: (
+        [check_mixed_ess(IMITATION, RK4_DYN, eps) for eps in (0.0, 1.0, 0.5)],
+        [check_mixed_ess(GROWTH, WALKER_DYN, eps) for eps in (0.0, 1.0)],
+        [check_multi_mutation(IMITATION, RK4_DYN, eps) for eps in (0.0, 1.0)]))
+    print(f"{'ess: 5 check_mixed_ess, 2 multi-mutation':<40} {cost * 1e3:>7.2f} ms")
     return 0
 
 

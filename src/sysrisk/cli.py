@@ -49,10 +49,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     for i in range(args.grid + 1):
         eps = i / args.grid
         cl = clearing_limit(market, eps)
-        lr = limit_returns(market, eps)
-        lines.append(",".join((repr(eps), repr(cl.x_bar), repr(cl.p_d),
-                               cl.regime.value, repr(lr.r1), repr(lr.r2_up),
-                               repr(lr.r2_down), repr(q_eps(market, eps)))))
+        lines.append(",".join((repr(eps), repr(cl.x_bar), repr(cl.p_d), cl.regime.value,
+                               *map(repr, limit_returns(market, eps)), repr(q_eps(market, eps)))))
     stream, path = _out_file(args, "analytic.csv")
     text = "\n".join(lines) + "\n"
     if stream is not None:

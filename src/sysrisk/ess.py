@@ -167,10 +167,9 @@ def check_avg_ess(params: MarketParams, candidate: float) -> EssVerdict:
     The observation noise only affects how often a finite sample mis-orders
     the groups, not the expected-utility ranking, so the verdict depends on
     the mean returns alone and the check takes no noise scale.  Where the gap
-    is exactly 0 (rest points, see `odeflow.avg_limit`) it has no advantage.
+    is exactly 0 (rest points, see `odeflow.avg_limit`) the advantage is +0.0, not -0.0.
     """
-    ok, worst, x_bar = _single_mutant_verdict(
-        candidate,
-        lambda mut, x: (candidate - mut) * mean_return_gap(params, x * mut + (1.0 - x) * candidate))
+    ok, worst, x_bar = _single_mutant_verdict(candidate, lambda mut, x: 0.0 + (
+        (candidate - mut) * mean_return_gap(params, x * mut + (1.0 - x) * candidate)))
     return EssVerdict(candidate=candidate, is_ess=ok, margin=worst, x_bar_used=x_bar,
                       mode=EssMode.AVG_RETURN)

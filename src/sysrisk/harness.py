@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .analytic import drift_rates, thresholds
 from .model import DynamicsParams, MarketParams, ParamError
-from .odeflow import (_clock_sums, _clock_terms, _flow_legs, _state_at, classify_attractors,
-                      ode_solution_departures, round_clock)
+from .odeflow import (_clock_add, _clock_sums, _clock_terms, _flow_legs, _state_at,
+                      classify_attractors, ode_solution_departures, round_clock)
 from .records import RoundRecord, Trajectory
 from .replicator import estimate_limit, run_simulation, tail_window
 
@@ -251,8 +251,8 @@ def assert_horizon(config: ExperimentConfig) -> int:
     horizon doubled, at most `_MAX_DOUBLINGS` times, until the flow itself
     has settled to within `_SETTLE_TOL`; comparing the simulation against the
     limit any earlier would test patience, not correctness.  One flow
-    itinerary and one growing clock-terms list serve every doubling; each
-    probe equals `theory_at_horizon` at its horizon bit for bit.
+    itinerary serves every doubling, whose new clock terms join an exact
+    two-float sum once; each probe equals `theory_at_horizon` bit for bit.
     """
     target = asymptotic_limit(config)
     dyn = config.dynamics
@@ -261,10 +261,11 @@ def assert_horizon(config: ExperimentConfig) -> int:
     terms = _clock_terms(dyn.n0, rounds)
     if abs(_state_at(legs, math.fsum(terms)).eps - target) <= _ROW_TOL:
         return rounds
+    hi, lo = _clock_add(0.0, 0.0, terms)
     for _ in range(_MAX_DOUBLINGS):
-        terms += _clock_terms(dyn.n0 + rounds, rounds)  # rounds+1..2*rounds
+        hi, lo = _clock_add(hi, lo, _clock_terms(dyn.n0 + rounds, rounds))  # rounds+1..2*rounds
         rounds *= 2
-        if abs(_state_at(legs, math.fsum(terms)).eps - target) <= _SETTLE_TOL:
+        if abs(_state_at(legs, hi).eps - target) <= _SETTLE_TOL:
             return rounds
     log.warning("flow still %g away from %g at %d rounds", _SETTLE_TOL, target, rounds)
     return rounds

@@ -16,7 +16,9 @@ side serves as an independent cross-check.
 
 Flow time is measured on the round clock: round j of a run that started
 from n0 agents advances it by 1/(j + n0).  `_clock_terms` is the one place
-those terms are formed, and every clock time is their exactly rounded sum.
+those terms are formed, as a float64 buffer that `math.fsum` reads with no
+list copy, and every clock time is their exactly rounded sum.  The flow
+table is a named tuple, like `analytic`'s results: every walker call builds one.
 The module also houses the attractor classification, the finite-round
 estimate used for table predictions, and the limit of the average-return
 variant of the dynamics.
@@ -51,8 +53,7 @@ class _Segment:
         return self.kappa * eps * (1.0 - eps) + eps * self.e_dep
 
 
-@dataclass(frozen=True)
-class _FlowTable:
+class _FlowTable(NamedTuple):
     """Everything a flow run needs from the market, built once per run.
 
     `segs` partitions [0, 1] at the thresholds eps_bar_1 and eps_bar; `p0`
@@ -325,34 +326,35 @@ def ode_solution_departures(params: MarketParams, dyn: DynamicsParams, eps0: flo
     return _flow(params, dyn, eps0, psi0, t, dyn.mean_L)
 
 
-def _clock_terms(n0: int, rounds: int) -> list[float]:
-    """Clock advance of rounds 1..rounds: round j adds 1/(j + n0)."""
-    return (1.0 / np.arange(n0 + 1, n0 + rounds + 1, dtype=float)).tolist()
+def _clock_terms(n0: int, rounds: int) -> memoryview:
+    """Clock advance of rounds 1..rounds, round j adding 1/(j + n0), as a float64 buffer."""
+    return memoryview(1.0 / np.arange(n0 + 1, n0 + rounds + 1, dtype=float))
 
 
-def _clock_sums(terms: list[float], ends: range) -> list[float]:
-    """`math.fsum(terms[:e])` for each e in the increasing `ends`, in one pass.
+def _clock_add(hi: float, lo: float, terms: memoryview) -> tuple[float, float]:
+    """The clock sum hi + lo with `terms` joined, carried exactly as two floats.
 
-    The running sum is carried exactly as two floats, hi + lo, and each
-    stretch of terms joins it through `math.fsum` (Shewchuk's exact
-    partials), which rounds the exact total once: every hi is bit-identical
-    to a fresh `fsum` of its prefix.  A third `fsum` certifies that hi + lo
-    still holds the total exactly; SolverError if it does not, which would
-    take a sum spanning more than 106 bits.
+    `math.fsum` (Shewchuk's exact partials) rounds the exact total once: the
+    new hi equals a fresh `fsum` of every term so far, lo keeps the rest.  A
+    third `fsum` certifies hi + lo is exact; SolverError if the total spans over 106 bits.
     """
+    part = [hi, lo, *terms]
+    hi = math.fsum(part)
+    part.append(-hi)
+    lo = math.fsum(part)
+    part.append(-lo)
+    if math.fsum(part) != 0.0:
+        raise SolverError(f"clock sum {hi!r} not exact in two floats")
+    return hi, lo
+
+
+def _clock_sums(terms: memoryview, ends: range) -> list[float]:
+    """`math.fsum(terms[:e])` for each e in the increasing `ends`, in one pass."""
     hi = lo = 0.0
     sums = []
-    done = 0
-    for end in ends:
-        part = [hi, lo, *terms[done:end]]
-        hi = math.fsum(part)
-        part.append(-hi)
-        lo = math.fsum(part)
-        part.append(-lo)
-        if math.fsum(part) != 0.0:
-            raise SolverError(f"clock sum to round {end} not exact in two floats")
+    for start, end in zip((0, *ends), ends):
+        hi, lo = _clock_add(hi, lo, terms[start:end])
         sums.append(hi)
-        done = end
     return sums
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -45,6 +46,28 @@ def test_analytic_writes_thresholds_and_grid(tmp_path, config_path):
     mid = rows[10]  # eps = 0.5
     assert float(mid["x_bar"]) == pytest.approx(2250.350214592273)
     assert mid["regime"] == "ShockDefault"
+
+
+# SHA-256 of `sysrisk analytic --grid 1000` for each shipped config: the thresholds and
+# the 1 001-point limit grid (clearing limit, returns and q), every float by repr.  The
+# configs share three markets, so two digests appear twice.
+ANALYTIC_PINS = {
+    "departures_high_accuracy.txt":
+        "80c6afe0cd3ac457bc72b3e9fc042b7608b83b44acde879e4bb76b9a582d6883",
+    "growth_pure_safe.txt": "dd7aaa68dbd249192f299c49ce6cdfce934a20cc10695aa67e534af410de8995",
+    "systemic_adaptive.txt": "d57a9ab32be56fb227efaf298a665d02459b4b5fe42c6f1f6285f778f864b73c",
+    "systemic_frozen.txt": "d57a9ab32be56fb227efaf298a665d02459b4b5fe42c6f1f6285f778f864b73c",
+    "trajectory_mid_start.txt":
+        "80c6afe0cd3ac457bc72b3e9fc042b7608b83b44acde879e4bb76b9a582d6883",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_PINS))
+def test_analytic_grid_export_pins(capsys, name):
+    preset = Path(__file__).resolve().parent.parent / "configs" / name
+    assert main(["analytic", "--config", str(preset), "--grid", "1000"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ANALYTIC_PINS[name]
 
 
 def test_ode_flat_at_zero(capsys, config_path):
@@ -124,10 +147,12 @@ def test_ess_avg_return_reports_the_limit_once(capsys):
     preset = Path(__file__).resolve().parent.parent / "configs" / "systemic_adaptive.txt"
     assert main(["ess", "--config", str(preset), "--mode", "avg-return",
                  "--candidate", "0", "--candidate", "0.37", "--candidate", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "avg_limit=0.37 case=unclassified applies=no"
-    assert [ln.split()[0] for ln in lines[1:]] == ["candidate=0", "candidate=0.37",
-                                                   "candidate=1"]
+    # inside the zero-gap stretch the advantage is exactly 0, printed without a sign
+    assert capsys.readouterr().out.splitlines() == [
+        "avg_limit=0.37 case=unclassified applies=no",
+        "candidate=0 mode=avg-return ess=no margin=0",
+        "candidate=0.37 mode=avg-return ess=no margin=0",
+        "candidate=1 mode=avg-return ess=yes margin=0.0699076 x_bar=0.1"]
 
 
 def test_bad_inputs_exit_2(tmp_path, config_path, capsys):

@@ -201,6 +201,19 @@ def test_round_walker_edges(growth_market, growth_dyn):
             round_clock(300, rounds)
 
 
+@pytest.mark.parametrize("n0, l, k", [(300, 200, 500), (300, 1000, 1), (2, 7, 40),
+                                      (10**6, 5000, 300), (300, 450, 0)])
+def test_round_walker_offset_is_the_flow_over_the_added_clock(growth_market, growth_dyn,
+                                                              n0, l, k):
+    # rounds l+1..l+k add the clock time of rounds 1..l+k minus that of rounds 1..l,
+    # summed here in plain Python; the walker is the departure-free flow over it
+    dyn = replace(growth_dyn, n0=n0)
+    t = (math.fsum([1.0 / (j + n0) for j in range(1, l + k + 1)])
+         - math.fsum([1.0 / (j + n0) for j in range(1, l + 1)]))
+    expected = ode_solution(growth_market, dyn, 0.85, 1.0, t).eps
+    assert finite_round_estimate(growth_market, dyn, 0.85, l, k) == expected
+
+
 def test_classifier_growth(growth_market, growth_dyn):
     report = classify_attractors(growth_market, growth_dyn)
     assert report.attractors == ((0.0, 1.0), (1.0, 1.0))

@@ -83,3 +83,17 @@ def test_soak_hook_scales_hypothesis_tests_only():
     with pytest.raises(AssertionError):
         drawn()
     assert not saved
+
+
+def test_theory_cost_prints_one_line_per_call_family(monkeypatch, capsys):
+    theory_cost = _load(SCRIPTS / "theory_cost.py")
+    monkeypatch.setattr(theory_cost, "TIMINGS", 1)
+    assert theory_cost.main() == 0
+    lines = capsys.readouterr().out.splitlines()[1:]  # below the header
+    families = ["flow_curve"] * 3 + ["finite_round_estimate"] + ["limit grid"] * 4 + [
+        "assert_horizon", "ode_numeric, criterion 3", "ode_numeric, 18", "averaging", "ess"]
+    assert len(lines) == len(families)
+    for line, family in zip(lines, families):
+        assert line.startswith(family)
+        value, unit = line.split()[-2:]
+        assert float(value) > 0.0 and unit in ("ms", "us")
