@@ -6,6 +6,7 @@
   milliseconds per curve;
 - `finite_round_estimate` on the growth market from eps0 = 0.85 for
   k = 100..999 rounds (the criterion-7 walker): microseconds per call;
+- the same 900 values from one `flow_at_rounds` pass: microseconds per value;
 - the 1 001-point limit grid (`clearing_limit`, `limit_returns` and
   `q_eps` at eps = i/1000) per market: milliseconds per grid;
 - `assert_horizon` over every table 2, 3 and 4 row: milliseconds in all;
@@ -39,7 +40,8 @@ from sysrisk.analytic import clearing_limit, limit_returns, q_eps
 from sysrisk.ess import check_avg_ess, check_mixed_ess, check_multi_mutation
 from sysrisk.harness import (assert_horizon, figure_configs, flow_curve, table2_spec,
                              table3_spec, table4_spec)
-from sysrisk.odeflow import avg_limit, finite_round_estimate, ode_numeric, round_clock
+from sysrisk.odeflow import (avg_limit, finite_round_estimate, flow_at_rounds, ode_numeric,
+                             round_clock)
 
 TIMINGS = 5
 FIRST_ROUND = 250
@@ -77,6 +79,9 @@ def main() -> int:
     cost = median_seconds(lambda: [finite_round_estimate(GROWTH, WALKER_DYN, 0.85, 0, k)
                                    for k in WALKER_ROUNDS])
     print(f"{'finite_round_estimate':<40} {cost / len(WALKER_ROUNDS) * 1e6:>7.1f} us")
+    cost = median_seconds(lambda: list(flow_at_rounds(GROWTH, WALKER_DYN, 0.85, 1.0, 0.0, 0,
+                                                      WALKER_ROUNDS)))
+    print(f"{'finite_round_estimate, batch':<40} {cost / len(WALKER_ROUNDS) * 1e6:>7.1f} us")
 
     for name, market in MARKETS.items():
         cost = median_seconds(lambda: [(clearing_limit(market, eps), limit_returns(market, eps),

@@ -23,7 +23,7 @@ from .odeflow import avg_limit, ode_numeric
 
 def _load(args: argparse.Namespace) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
-    if getattr(args, "seed", None):
+    if getattr(args, "seed", None) is not None:
         config = replace(config, seeds=harness.parse_seeds("--seed", args.seed))
     return config
 
@@ -130,12 +130,14 @@ def cmd_ess(args: argparse.Namespace) -> int:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path(f"reproduce_{args.target.replace('-', '_')}")
     if args.target == "fig-trajectories":
-        seed = harness.parse_seeds("--seed", args.seed)[0] if args.seed else 0
-        for path in harness.reproduce_figures(out, seed=seed):
+        seeds = harness.parse_seeds("--seed", args.seed) if args.seed is not None else (0,)
+        if len(seeds) > 1:
+            raise ParamError(f"--seed: fig-trajectories takes one seed, got {args.seed!r}")
+        for path in harness.reproduce_figures(out, seed=seeds[0]):
             print(path)
         return 0
     spec = harness.TABLE_SPECS[args.target]()
-    if args.seed:
+    if args.seed is not None:
         seeds = harness.parse_seeds("--seed", args.seed)
         spec = replace(spec, rows=tuple(
             replace(row, config=replace(row.config, seeds=seeds)) for row in spec.rows))

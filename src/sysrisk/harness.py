@@ -22,8 +22,7 @@ from pathlib import Path
 
 from .analytic import drift_rates, thresholds
 from .model import DynamicsParams, MarketParams, ParamError
-from .odeflow import (_clock_add, _clock_sums, _clock_terms, _flow_legs, _state_at,
-                      classify_attractors, ode_solution_departures, round_clock)
+from .odeflow import classify_attractors, flow_at_rounds, round_clock  # cli reads round_clock here
 from .records import RoundRecord, Trajectory
 from .replicator import estimate_limit, run_simulation, tail_window
 
@@ -224,8 +223,7 @@ def _run_payloads(payloads: list[tuple[ExperimentConfig, int, bool]],
 def theory_at_horizon(config: ExperimentConfig) -> float:
     """Flow prediction for the risk-free fraction at the config's horizon."""
     dyn = config.dynamics
-    t = round_clock(dyn.n0, dyn.rounds)
-    return ode_solution_departures(config.market, dyn, dyn.eps0, 1.0, t).eps
+    return next(flow_at_rounds(config.market, dyn, dyn.eps0, 1.0, dyn.mean_L, 0, (dyn.rounds,))).eps
 
 
 def asymptotic_limit(config: ExperimentConfig) -> float:
@@ -250,25 +248,19 @@ def assert_horizon(config: ExperimentConfig) -> int:
     limit at the preset horizon keep it.  A slow cell that is not gets its
     horizon doubled, at most `_MAX_DOUBLINGS` times, until the flow itself
     has settled to within `_SETTLE_TOL`; comparing the simulation against the
-    limit any earlier would test patience, not correctness.  One flow
-    itinerary serves every doubling, whose new clock terms join an exact
-    two-float sum once; each probe equals `theory_at_horizon` bit for bit.
+    limit any earlier would test patience, not correctness.  The probes are
+    one lazy `flow_at_rounds` pass, read no further than the first settled
+    doubling; each equals `theory_at_horizon` at its horizon bit for bit.
     """
     target = asymptotic_limit(config)
     dyn = config.dynamics
-    legs = _flow_legs(config.market, dyn, dyn.eps0, 1.0, dyn.mean_L)
-    rounds = dyn.rounds
-    terms = _clock_terms(dyn.n0, rounds)
-    if abs(_state_at(legs, math.fsum(terms)).eps - target) <= _ROW_TOL:
-        return rounds
-    hi, lo = _clock_add(0.0, 0.0, terms)
-    for _ in range(_MAX_DOUBLINGS):
-        hi, lo = _clock_add(hi, lo, _clock_terms(dyn.n0 + rounds, rounds))  # rounds+1..2*rounds
-        rounds *= 2
-        if abs(_state_at(legs, hi).eps - target) <= _SETTLE_TOL:
+    horizons = [dyn.rounds << i for i in range(_MAX_DOUBLINGS + 1)]
+    flow = flow_at_rounds(config.market, dyn, dyn.eps0, 1.0, dyn.mean_L, 0, horizons)
+    for doublings, (rounds, state) in enumerate(zip(horizons, flow)):
+        if abs(state.eps - target) <= (_SETTLE_TOL if doublings else _ROW_TOL):
             return rounds
-    log.warning("flow still %g away from %g at %d rounds", _SETTLE_TOL, target, rounds)
-    return rounds
+    log.warning("flow still %g away from %g at %d rounds", _SETTLE_TOL, target, horizons[-1])
+    return horizons[-1]
 
 
 # --------------------------------------------------------------------------
@@ -415,17 +407,15 @@ def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
                first_round: int, last_round: int, every: int = 10) -> Trajectory:
     """Flow solution sampled on the round clock, as a trajectory of `OdeState`s.
 
-    The flow is walked once and the clock summed in one exact pass, so each
-    row equals `ode_solution_departures` at its `t` bit for bit.
+    One `flow_at_rounds` pass, so each row equals `ode_solution_departures`
+    at its `t` bit for bit.
     """
     if every < 1 or not 0 <= first_round <= last_round:
         raise ParamError(f"flow rounds: need every >= 1 and 0 <= first <= last, got "
                          f"every={every}, first={first_round}, last={last_round}")
-    dyn = config.dynamics
-    legs = _flow_legs(config.market, dyn, eps0, psi0, dyn.mean_L)
-    clock = _clock_sums(_clock_terms(dyn.n0, last_round),
-                        range(first_round, last_round + 1, every))
-    return Trajectory(records=[_state_at(legs, total - clock[0]) for total in clock])
+    return Trajectory(records=list(flow_at_rounds(
+        config.market, config.dynamics, eps0, psi0, config.dynamics.mean_L, first_round,
+        range(first_round, last_round + 1, every))))
 
 
 def write_metadata(path: str | Path, config: ExperimentConfig,

@@ -27,7 +27,7 @@ def _require(cond: bool, name: str, msg: str) -> None:
 
 def require_count(name: str, count: object) -> None:
     """ParamError unless `count` (an agent or round count) is a non-negative integer."""
-    if not (isinstance(count, numbers.Integral) and count >= 0):
+    if not (isinstance(count, (int, numbers.Integral)) and count >= 0):  # int: fast path
         raise ParamError(f"{name}: count must be a non-negative integer, got {count!r}")
 
 

@@ -15,18 +15,18 @@ inside its leg.  A classical fourth-order integrator of the same right-hand
 side serves as an independent cross-check.
 
 Flow time is measured on the round clock: round j of a run that started
-from n0 agents advances it by 1/(j + n0).  `_clock_terms` is the one place
-those terms are formed, as a float64 buffer that `math.fsum` reads with no
-list copy, and every clock time is their exactly rounded sum.  The flow
-table is a named tuple, like `analytic`'s results: every walker call builds one.
-The module also houses the attractor classification, the finite-round
-estimate used for table predictions, and the limit of the average-return
-variant of the dynamics.
+from n0 agents advances it by 1/(j + n0).  `_round_clocks` alone forms and
+sums those terms, one lazy pass of exactly rounded sums that `round_clock`
+and the sampler `flow_at_rounds` read.  The flow table is a named tuple
+(every walker call builds one).  The module also houses the attractor
+classification, the finite-round walker and the averaging dynamics' limit.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -326,56 +326,64 @@ def ode_solution_departures(params: MarketParams, dyn: DynamicsParams, eps0: flo
     return _flow(params, dyn, eps0, psi0, t, dyn.mean_L)
 
 
-def _clock_terms(n0: int, rounds: int) -> memoryview:
-    """Clock advance of rounds 1..rounds, round j adding 1/(j + n0), as a float64 buffer."""
-    return memoryview(1.0 / np.arange(n0 + 1, n0 + rounds + 1, dtype=float))
+def _round_clocks(n0: int, ends: Iterable[int]) -> Iterator[float]:
+    """Exactly rounded clock after each of the non-decreasing `ends` rounds, lazily.
 
-
-def _clock_add(hi: float, lo: float, terms: memoryview) -> tuple[float, float]:
-    """The clock sum hi + lo with `terms` joined, carried exactly as two floats.
-
-    `math.fsum` (Shewchuk's exact partials) rounds the exact total once: the
-    new hi equals a fresh `fsum` of every term so far, lo keeps the rest.  A
-    third `fsum` certifies hi + lo is exact; SolverError if the total spans over 106 bits.
+    Round j adds 1/(j + n0).  `math.fsum` (Shewchuk's exact partials) reads each stretch
+    from a float64 buffer reaching at least twice the rounds summed before it; the rest
+    of a total is carried, and certified exact by a third `fsum`, once a later end needs it.
     """
-    part = [hi, lo, *terms]
-    hi = math.fsum(part)
-    part.append(-hi)
-    lo = math.fsum(part)
-    part.append(-lo)
-    if math.fsum(part) != 0.0:
-        raise SolverError(f"clock sum {hi!r} not exact in two floats")
-    return hi, lo
-
-
-def _clock_sums(terms: memoryview, ends: range) -> list[float]:
-    """`math.fsum(terms[:e])` for each e in the increasing `ends`, in one pass."""
     hi = lo = 0.0
-    sums = []
-    for start, end in zip((0, *ends), ends):
-        hi, lo = _clock_add(hi, lo, terms[start:end])
-        sums.append(hi)
-    return sums
+    done = base = top = 0  # rounds summed so far; buf[i] is the term of round base + i + 1
+    for end in ends:
+        if end > done:
+            if done:  # carry the rest of hi, now that a later end needs it
+                part = part or [*buf[:done]]  # the parts hi was summed from
+                part.append(-hi)
+                lo = math.fsum(part)
+                part.append(-lo)
+                if math.fsum(part) != 0.0:
+                    raise SolverError(f"clock sum {hi!r} not exact in two floats")
+            if end > top:
+                base, top = done, max(end, 2 * done)
+                buf = memoryview(1.0 / np.arange(n0 + base + 1, n0 + top + 1, dtype=float))
+            part = [hi, lo, *buf[done - base:end - base]] if done else None  # None: buf[:end]
+            hi = math.fsum(part or buf[:end])
+            done = end
+        elif end < done:
+            raise ParamError(f"ends: round {end!r} comes before round {done}")
+        yield hi
 
 
 def round_clock(n0: int, rounds: int) -> float:
     """Flow time after `rounds` rounds of a run that started from n0 agents."""
     require_count("rounds", rounds)
-    return math.fsum(_clock_terms(n0, rounds))
+    return next(_round_clocks(n0, (rounds,)))
+
+
+def flow_at_rounds(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
+                   mean_L: float, first: int, ends: Iterable[int]) -> Iterator[OdeState]:
+    """The closed flow from (eps0, psi0) at round `first`, at each round of `ends`.
+
+    One itinerary and one clock pass give the state at clock(end) - clock(first)
+    for each end, lazily; `ends` must not fall below `first` or decrease.
+    """
+    require_count("first", first)
+    legs = _flow_legs(params, dyn, eps0, psi0, mean_L)
+    clock = _round_clocks(dyn.n0, chain((first,), ends))
+    start = next(clock)
+    return (_state_at(legs, total - start) for total in clock)
 
 
 def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float,
                           l: int, k: int) -> float:
     """Predicted risk-free fraction after rounds l+1..l+k, via the flow clock.
 
-    The estimate is the departure-free closed form from a unit population
-    rate, run for the clock time those k rounds add.
+    The departure-free flow from a unit population rate: `flow_at_rounds` with one end.
     """
     require_count("l", l)
     require_count("k", k)
-    terms = _clock_terms(dyn.n0, l + k)
-    t_kl = math.fsum(terms) - math.fsum(terms[:l])
-    return _state_at(_flow_legs(params, dyn, eps0, 1.0, 0.0), t_kl).eps
+    return next(flow_at_rounds(params, dyn, eps0, 1.0, 0.0, l, (l + k,))).eps
 
 
 def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,

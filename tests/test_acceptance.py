@@ -32,6 +32,7 @@ from sysrisk.netgen import edge_weights, sample_shocks
 from sysrisk.odeflow import (
     classify_attractors,
     finite_round_estimate,
+    flow_at_rounds,
     ode_numeric,
     ode_solution,
     ode_solution_departures,
@@ -206,12 +207,15 @@ def test_criterion_6_large_network_clearing():
                  f"claims dev {worst_claims:.4f}, default-frac dev {worst_frac:.4f}")
 
 
+WALKER_DYN = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.9, b_s=0.9,
+                            n0=300, eps0=0.85, rounds=1000)
+WALKER_ROUNDS = range(100, 1000)
+
+
 def test_criterion_7_trajectory_tracks_walker():
-    dyn = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.9, b_s=0.9,
-                         n0=300, eps0=0.85, rounds=1000)
-    config = ExperimentConfig(market=GROWTH, dynamics=dyn)
-    walker = [finite_round_estimate(GROWTH, dyn, 0.85, 0, j)
-              for j in range(100, 1000)]
+    config = ExperimentConfig(market=GROWTH, dynamics=WALKER_DYN)
+    walker = [state.eps for state in
+              flow_at_rounds(GROWTH, WALKER_DYN, 0.85, 1.0, 0.0, 0, WALKER_ROUNDS)]
     mads = []
     for seed in range(5):
         traj = run_simulation(config, seed)
@@ -221,6 +225,13 @@ def test_criterion_7_trajectory_tracks_walker():
     ok = mean_mad <= 0.1
     assert _line(7, "per-round tracking", ok,
                  f"mean MAD over 5 seeds {mean_mad:.4f} (tol 0.1)")
+
+
+def test_criterion_7_walker_pass_is_the_one_shot_walker():
+    # the one flow_at_rounds pass criterion 7 reads gives finite_round_estimate's bits
+    batch = flow_at_rounds(GROWTH, WALKER_DYN, 0.85, 1.0, 0.0, 0, WALKER_ROUNDS)
+    assert [state.eps.hex() for state in batch] == [
+        finite_round_estimate(GROWTH, WALKER_DYN, 0.85, 0, k).hex() for k in WALKER_ROUNDS]
 
 
 def test_criterion_8_ess_suite_is_fast():

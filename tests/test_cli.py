@@ -167,10 +167,23 @@ def test_bad_inputs_exit_2(tmp_path, config_path, capsys):
     assert capsys.readouterr().err.endswith(f"\nerror: {binary}: not UTF-8 text\n")
     assert main(["simulate", "--config", str(config_path), "--seed", "x"]) == 2
     assert main(["simulate", "--config", str(config_path), "--seed", ","]) == 2
+    assert main(["simulate", "--config", str(config_path), "--seed", ""]) == 2
     figs = tmp_path / "figs"
     assert main(["reproduce", "fig-trajectories", "--seed", ",", "--out", str(figs)]) == 2
     assert not figs.exists()
     capsys.readouterr()  # swallow the error text
+
+
+@pytest.mark.parametrize("target, seeds, message", [
+    ("table2", "", "--seed: empty seed list"),
+    ("fig-trajectories", "", "--seed: empty seed list"),
+    ("fig-trajectories", "1,2", "--seed: fig-trajectories takes one seed, got '1,2'"),
+])
+def test_bad_reproduce_seeds_exit_2(tmp_path, capsys, target, seeds, message):
+    out = tmp_path / "out"
+    assert main(["reproduce", target, "--seed", seeds, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds", ["", "0,-1"])

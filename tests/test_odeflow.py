@@ -22,6 +22,7 @@ from sysrisk.odeflow import (
     avg_limit,
     classify_attractors,
     finite_round_estimate,
+    flow_at_rounds,
     ode_numeric,
     ode_solution,
     ode_solution_departures,
@@ -201,6 +202,11 @@ def test_round_walker_edges(growth_market, growth_dyn):
             round_clock(300, rounds)
 
 
+def _clock(n0, rounds):
+    """The round clock summed in plain Python: one fresh exact sum of its terms."""
+    return math.fsum([1.0 / (j + n0) for j in range(1, rounds + 1)])
+
+
 @pytest.mark.parametrize("n0, l, k", [(300, 200, 500), (300, 1000, 1), (2, 7, 40),
                                       (10**6, 5000, 300), (300, 450, 0)])
 def test_round_walker_offset_is_the_flow_over_the_added_clock(growth_market, growth_dyn,
@@ -208,10 +214,46 @@ def test_round_walker_offset_is_the_flow_over_the_added_clock(growth_market, gro
     # rounds l+1..l+k add the clock time of rounds 1..l+k minus that of rounds 1..l,
     # summed here in plain Python; the walker is the departure-free flow over it
     dyn = replace(growth_dyn, n0=n0)
-    t = (math.fsum([1.0 / (j + n0) for j in range(1, l + k + 1)])
-         - math.fsum([1.0 / (j + n0) for j in range(1, l + 1)]))
-    expected = ode_solution(growth_market, dyn, 0.85, 1.0, t).eps
+    expected = ode_solution(growth_market, dyn, 0.85, 1.0, _clock(n0, l + k) - _clock(n0, l)).eps
     assert finite_round_estimate(growth_market, dyn, 0.85, l, k) == expected
+
+
+def _bits(state):
+    return state.eps.hex(), state.psi.hex(), state.t.hex(), state.pinned
+
+
+@pytest.mark.parametrize("departures, n0, eps0, psi0, first, ends", [
+    (False, 300, 0.85, 1.0, 0, range(0, 1001, 50)),             # first = 0, from the start
+    (True, 500, 0.4, 1.0, 250, range(250, 4001, 250)),          # first > 0, thresholds crossed
+    (True, 500, 0.3, 0.9, 10, (10, 10, 40, 40, 40, 41, 2000)),  # repeated ends
+    (True, 500, 0.45, 1.1, 77, (77,)),                          # end == first: the start state
+    (False, 10**6, 0.85, 1.0, 5000, (5000, 5300, 100000)),      # a large n0
+])
+def test_flow_at_rounds_is_the_flow_over_each_clock_difference(
+        growth_market, growth_dyn, imitation_market, imit_dep_dynamics,
+        departures, n0, eps0, psi0, first, ends):
+    # each state is the closed flow at clock(end) - clock(first), bit for bit
+    market, dyn = ((imitation_market, imit_dep_dynamics) if departures
+                   else (growth_market, growth_dyn))
+    dyn = replace(dyn, n0=n0)
+    flow = ode_solution_departures if departures else ode_solution
+    got = list(flow_at_rounds(market, dyn, eps0, psi0, dyn.mean_L, first, ends))
+    assert len(got) == len(ends)
+    for end, state in zip(ends, got):
+        t = _clock(n0, end) - _clock(n0, first)
+        assert _bits(state) == _bits(flow(market, dyn, eps0, psi0, t))
+    if ends[0] == first:
+        assert got[0] == (eps0, psi0, 0.0, False)
+
+
+@pytest.mark.parametrize("first, ends, name", [(-1, (5,), "first"),
+                                               (10, (5, 9), "ends"),         # below first
+                                               (10, (20, 30, 29), "ends")])  # decreasing
+def test_flow_at_rounds_rejects_rounds_out_of_order(growth_market, growth_dyn,
+                                                    first, ends, name):
+    with pytest.raises(ParamError, match=f"^{name}: ") as exc:
+        list(flow_at_rounds(growth_market, growth_dyn, 0.85, 1.0, 0.0, first, ends))
+    assert "\n" not in str(exc.value)
 
 
 def test_classifier_growth(growth_market, growth_dyn):

@@ -90,8 +90,9 @@ def test_theory_cost_prints_one_line_per_call_family(monkeypatch, capsys):
     monkeypatch.setattr(theory_cost, "TIMINGS", 1)
     assert theory_cost.main() == 0
     lines = capsys.readouterr().out.splitlines()[1:]  # below the header
-    families = ["flow_curve"] * 3 + ["finite_round_estimate"] + ["limit grid"] * 4 + [
-        "assert_horizon", "ode_numeric, criterion 3", "ode_numeric, 18", "averaging", "ess"]
+    families = (["flow_curve"] * 3 + ["finite_round_estimate", "finite_round_estimate, batch"]
+                + ["limit grid"] * 4 + ["assert_horizon", "ode_numeric, criterion 3",
+                                        "ode_numeric, 18", "averaging", "ess"])
     assert len(lines) == len(families)
     for line, family in zip(lines, families):
         assert line.startswith(family)
