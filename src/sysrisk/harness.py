@@ -97,8 +97,6 @@ def _coerce(key: str, raw: str, tp: object) -> object:
 
 
 def _render(value: object) -> str:
-    if value is None:
-        return "none"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

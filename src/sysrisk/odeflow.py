@@ -17,9 +17,10 @@ side serves as an independent cross-check.
 Flow time is measured on the round clock: round j of a run that started
 from n0 agents advances it by 1/(j + n0).  `_round_clocks` alone forms and
 sums those terms, one lazy pass of exactly rounded sums that `round_clock`
-and the sampler `flow_at_rounds` read.  The flow table is a named tuple
-(every walker call builds one).  The module also houses the attractor
-classification, the finite-round walker and the averaging dynamics' limit.
+and the sampler `flow_at_rounds` read.  The flow table (a named tuple) owns
+the departures rule and the psi target; `_itinerary` alone walks its segments,
+and the attractor classification reads each basin's limit off its last leg.
+The module also houses the finite-round walker and the averaging dynamics' limit.
 """
 from __future__ import annotations
 
@@ -48,6 +49,11 @@ class _Segment:
     e_dep: float  # departure mass active strictly inside this segment
     a: float      # psi relaxation target, E[N] - e_dep
 
+    @property
+    def mu(self) -> float:
+        """Logistic midpoint 1 + e_dep/kappa, where the drift changes sign (kappa != 0)."""
+        return 1.0 + self.e_dep / self.kappa
+
     def drift(self, eps: float) -> float:
         """Sign-carrying eps-velocity; psi > 0 never flips it."""
         return self.kappa * eps * (1.0 - eps) + eps * self.e_dep
@@ -56,21 +62,28 @@ class _Segment:
 class _FlowTable(NamedTuple):
     """Everything a flow run needs from the market, built once per run.
 
-    `segs` partitions [0, 1] at the thresholds eps_bar_1 and eps_bar; `p0`
-    is the limit default probability at eps = 0 when departures are on
-    (else 0), which decides whether defaulters leave below eps_bar_1.
+    `segs` partitions [0, 1] at the thresholds eps_bar_1 and eps_bar.  The
+    table owns the flow's two rules: `departures_at` (defaulters leave above
+    eps_bar_1, and below it too when `p0`, the limit default probability at
+    eps = 0 with departures on, is positive) and `target_at`, the psi target
+    mean_N minus departures.  Each segment's departure mass and target are
+    these rules read at the segment's midpoint.
     """
 
     segs: tuple[_Segment, ...]
     eps_bar_1: float
-    eps_bar: float
     p0: float
     mean_L: float
+    mean_N: float
 
     def departures_at(self, eps: float) -> float:
         """Departure mass at eps: mean_L wherever defaults occur, else 0."""
         active = eps < 1.0 and (eps > self.eps_bar_1 or self.p0 > 0.0)
         return self.mean_L if active else 0.0
+
+    def target_at(self, eps: float) -> float:
+        """The psi relaxation target at eps: arrivals minus departures."""
+        return self.mean_N - self.departures_at(eps)
 
 
 def _flow_table(params: MarketParams, dyn: DynamicsParams, mean_L: float) -> _FlowTable:
@@ -79,23 +92,26 @@ def _flow_table(params: MarketParams, dyn: DynamicsParams, mean_L: float) -> _Fl
     th = thresholds(params, check=False)
     beta, k1 = drift_rates(params, dyn)
     e1, eb = th.eps_bar_1, th.eps_bar
+    p0 = clearing_limit(params, 0.0).p_d if mean_L > 0 else 0.0
+    table = _FlowTable((), e1, p0, mean_L, dyn.mean_N)  # segs come from its rules
     edges = [0.0] + sorted(e for e in {e1, eb} if 0.0 < e < 1.0) + [1.0]
     segs = []
     for lo, hi in zip(edges, edges[1:]):
         kappa = k1 if hi <= eb else beta
-        e_dep = mean_L if lo >= e1 else 0.0
-        a = dyn.mean_N - e_dep
+        mid = 0.5 * (lo + hi)
+        e_dep, a = table.departures_at(mid), table.target_at(mid)
         if a <= 0:
             raise ParamError("mean_L: departures must stay below arrivals for the flow")
         if kappa != 0.0 and kappa + e_dep == 0.0:
             raise DegenerateFlowError(
                 f"flow interval [{lo:g}, {hi:g}] has logistic midpoint mu = 0")
         segs.append(_Segment(lo, hi, kappa, e_dep, a))
-    p0 = clearing_limit(params, 0.0).p_d if mean_L > 0 else 0.0
-    return _FlowTable(tuple(segs), e1, eb, p0, mean_L)
+    return _FlowTable(tuple(segs), e1, p0, mean_L, dyn.mean_N)
 
 
 def _psi_after(a: float, psi0: float, dt: float) -> float:
+    if 1024.0 * psi0 < a:  # psi0 - a would round away psi0's low bits: take a cancel-free form
+        return psi0 * math.exp(-dt) - a * math.expm1(-dt)
     return a + (psi0 - a) * math.exp(-dt)
 
 
@@ -126,7 +142,7 @@ def _eps_after(seg: _Segment, eps0: float, psi0: float, dt: float) -> float:
     lw = _log_warp(seg.a, psi0, dt)
     if seg.kappa == 0.0:
         return eps0 * math.exp((seg.e_dep / seg.a) * lw)
-    mu = 1.0 + seg.e_dep / seg.kappa
+    mu = seg.mu
     if eps0 == mu:
         return eps0
     log_h = (seg.kappa + seg.e_dep) / seg.a * lw
@@ -145,7 +161,7 @@ def _eps_after(seg: _Segment, eps0: float, psi0: float, dt: float) -> float:
 
 
 def _locate(segs: tuple[_Segment, ...], eps: float) -> tuple[_Segment, float] | None:
-    """Segment owning an interior eps plus flow direction; None when pinned."""
+    """Segment owning eps plus flow direction; None when held at 0, at 1 or pinned."""
     for s in segs:
         if s.lo < eps < s.hi:
             d = s.drift(eps)
@@ -156,8 +172,7 @@ def _locate(segs: tuple[_Segment, ...], eps: float) -> tuple[_Segment, float] | 
                 return above, 1.0
             if below.drift(eps) < 0.0:
                 return below, -1.0
-            return None
-    raise AssertionError(f"eps {eps!r} not locatable")
+    return None
 
 
 def _cross_time(seg: _Segment, eps0: float, psi0: float, edge: float, up: bool) -> float:
@@ -186,7 +201,7 @@ def _cross_time(seg: _Segment, eps0: float, psi0: float, edge: float, up: bool) 
         h, g = edge / eps0, (edge - eps0) / eps0
         rate = seg.e_dep / seg.a
     else:
-        mu = 1.0 + seg.e_dep / seg.kappa
+        mu = seg.mu
         if edge == mu:
             return math.inf
         den = eps0 * (mu - edge)
@@ -246,28 +261,21 @@ class _Leg(NamedTuple):
     pinned: bool = False
 
 
-def _itinerary(table: _FlowTable, mean_N: float, eps0: float,
-               psi0: float) -> tuple[_Leg, ...]:
+def _itinerary(table: _FlowTable, eps0: float, psi0: float) -> tuple[_Leg, ...]:
     """The legs of the flow from (eps0, psi0), each crossing time solved once.
 
     Crossing times do not depend on any horizon, so one walk serves every t;
-    the last leg lasts forever.
+    the last leg lasts forever: held, or moving toward an edge it never reaches.
     """
     legs = []
     eps, psi, now = eps0, psi0, 0.0
     for _ in range(_MAX_TRANSITIONS + 1):
-        if eps <= 0.0 or eps >= 1.0:
-            legs.append(_Leg(now, eps, psi, None, mean_N - table.departures_at(eps)))
-            return tuple(legs)
         located = _locate(table.segs, eps)
-        if located is None:
-            legs.append(_Leg(now, eps, psi, None, mean_N - table.departures_at(eps),
-                             pinned=True))
+        if located is None or located[1] == 0.0:  # absorbed, pinned or balanced
+            pinned = located is None and 0.0 < eps < 1.0
+            legs.append(_Leg(now, eps, psi, None, table.target_at(eps), pinned))
             return tuple(legs)
         seg, direction = located
-        if direction == 0.0:  # balanced exactly at a midpoint: stays put
-            legs.append(_Leg(now, eps, psi, None, seg.a))
-            return tuple(legs)
         legs.append(_Leg(now, eps, psi, seg, seg.a))
         edge = seg.hi if direction > 0.0 else seg.lo
         dt = _cross_time(seg, eps, psi, edge, up=direction > 0.0)
@@ -304,7 +312,7 @@ def _flow_legs(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: flo
                mean_L: float) -> tuple[_Leg, ...]:
     """Validated start, flow table and itinerary: everything t-independent."""
     _check_start(eps0, psi0)
-    return _itinerary(_flow_table(params, dyn, mean_L), dyn.mean_N, eps0, psi0)
+    return _itinerary(_flow_table(params, dyn, mean_L), eps0, psi0)
 
 
 def _flow(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
@@ -422,20 +430,18 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
         a4 = seg.drift(eps + h * a3) / p4
         return eps + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4), p_end
 
-    def settle(eps: float) -> tuple[tuple[_Segment, float] | None, bool]:
-        """(segment, direction) the flow takes from eps, None if held there; and pinned."""
-        if 0.0 < eps < 1.0:
-            located = _locate(table.segs, eps)
-            return located, located is None
-        return None, False
+    def settle(eps: float) -> tuple[tuple[_Segment, float] | None, bool, float]:
+        """(segment, direction) the flow takes from eps, None if held there; pinned; target."""
+        located = _locate(table.segs, eps)
+        return located, located is None and 0.0 < eps < 1.0, table.target_at(eps)
 
     records = [OdeState(eps0, psi0, 0.0)]
     eps, psi, now = eps0, psi0, 0.0
-    located, pinned = settle(eps)
+    located, pinned, held_a = settle(eps)
     while now < horizon - 1e-15:
         h = min(step, horizon - now)
         if located is None:
-            psi = _psi_after(dyn.mean_N - table.departures_at(eps), psi, h)
+            psi = _psi_after(held_a, psi, h)
         else:
             seg, direction = located
             up = direction > 0.0
@@ -451,7 +457,7 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
                     else:
                         lo_t = mid
                 h, eps, psi = hi_t, edge, rk4(seg, eps, psi, hi_t)[1]
-                located, pinned = settle(edge)
+                located, pinned, held_a = settle(edge)
             elif seg.lo <= e2 <= seg.hi and ((e2 >= eps) if up else (e2 <= eps)):
                 eps, psi = e2, p2
             else:
@@ -479,26 +485,12 @@ class AttractorReport:
     conjecture: bool = False
 
 
-def _terminal(table: _FlowTable, eps: float,
-              dyn: DynamicsParams) -> tuple[float, float, bool]:
-    """(eps*, psi*, pinned) reached from eps under the sign flow."""
-    for _ in range(2 * len(table.segs) + 4):
-        if eps <= 0.0:
-            return 0.0, dyn.mean_N - table.departures_at(0.0), False
-        if eps >= 1.0:
-            return 1.0, dyn.mean_N, False
-        located = _locate(table.segs, eps)
-        if located is None:
-            return eps, dyn.mean_N - table.departures_at(eps), True
-        seg, direction = located
-        if direction == 0.0:
-            return eps, seg.a, False
-        eps = seg.hi if direction > 0 else seg.lo
-    raise RuntimeError("attractor walk failed to settle")
-
-
 def classify_attractors(params: MarketParams, dyn: DynamicsParams) -> AttractorReport:
-    """Partition eps0 into basins and name each basin's limit point."""
+    """Partition eps0 into basins and name each basin's limit point.
+
+    Basins are cut at interior thresholds and repelling logistic midpoints; a
+    basin's limit is read off the last leg of the itinerary from its midpoint.
+    """
     beta, kappa_below = drift_rates(params, dyn)
     if beta == 0.0:
         raise ParamError("beta: zero net drift admits no attractor classification")
@@ -507,15 +499,18 @@ def classify_attractors(params: MarketParams, dyn: DynamicsParams) -> AttractorR
 
     cuts = {s.lo for s in table.segs if 0.0 < s.lo < 1.0}
     for s in table.segs:
-        if s.kappa < 0.0:
-            mu = 1.0 + s.e_dep / s.kappa
-            if s.lo < mu < s.hi:  # interior balance point: a repeller
-                cuts.add(mu)
+        if s.kappa < 0.0 and s.lo < s.mu < s.hi:  # interior balance point: a repeller
+            cuts.add(s.mu)
     bounds = [0.0] + sorted(cuts) + [1.0]
 
     merged: list[list] = []  # [lo, hi, (eps*, psi*, pinned)]
     for lo, hi in zip(bounds, bounds[1:]):
-        term = _terminal(table, 0.5 * (lo + hi), dyn)
+        last = _itinerary(table, 0.5 * (lo + hi), 1.0)[-1]
+        if last.seg is None:  # held: its own limit
+            term = (last.eps, last.a, last.pinned)
+        else:  # still moving: it only tends to the edge ahead, at that edge's target
+            edge = last.seg.hi if last.seg.drift(last.eps) > 0.0 else last.seg.lo
+            term = (edge, table.target_at(edge), False)
         if merged and abs(merged[-1][2][0] - term[0]) <= 1e-12 \
                 and abs(merged[-1][2][1] - term[1]) <= 1e-12:
             merged[-1][1] = hi

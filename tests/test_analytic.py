@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -176,3 +177,44 @@ def test_outside_theory_market():
         cl = clearing_limit(heavy, eps)
         assert cl.x_bar == pytest.approx(picard_limit(heavy, eps), rel=1e-8)
         assert cl.p_d == pytest.approx(0.2)
+
+
+def _systemic_markets(n_draws: int = 3000) -> list[MarketParams]:
+    """In-theory markets (v <= w(1 + d)) drawn at random; those with eps_bar_2 < 1."""
+    rng = random.Random(1)
+    found = []
+    for _ in range(n_draws):
+        r_s = rng.uniform(0.0, 0.1)
+        r_b = r_s + rng.uniform(0.0, 0.05)
+        d = rng.uniform(-0.9, r_s - 0.01)
+        market = MarketParams(w=70.0, v=rng.uniform(0.0, 70.0 * (1 + d)),
+                              alpha=rng.uniform(0.5, 0.99), delta=rng.uniform(0.05, 0.95),
+                              u=r_b + rng.uniform(0.01, 0.3), d=d, r_s=r_s, r_b=r_b)
+        if thresholds(market, check=False).eps_bar_2 < 1.0:
+            found.append(market)
+    return found
+
+
+def test_systemic_closed_forms():
+    # the eps_bar_2 quadratic root against a bisection of "every risky agent
+    # defaults", and the all-default x_bar against the Picard oracle above it
+    markets = _systemic_markets()
+    assert len(markets) >= 100
+    for market in markets:
+        th = thresholds(market, check=False)
+        assert not th.outside_theory and th.eps_bar_1 < th.eps_bar_2 < 1.0
+
+        def systemic(eps: float) -> bool:
+            return clearing_limit(market, eps).p_d >= 1.0
+
+        lo, hi = th.eps_bar_1, math.nextafter(1.0, 0.0)
+        assert not systemic(lo) and systemic(hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if systemic(mid) else (mid, hi)
+        assert abs(hi - th.eps_bar_2) <= 1e-9
+
+        eps = 0.5 * (th.eps_bar_2 + 1.0)
+        cl = clearing_limit(market, eps)
+        assert cl.regime is DefaultRegime.ALL_DEFAULT and cl.p_d == 1.0
+        y = market.w * (market.alpha + eps) * (1 + market.r_b) / (1 - market.alpha)
+        assert abs(cl.x_bar - picard_limit(market, eps)) <= 1e-8 * y

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -90,6 +91,34 @@ def test_ode_methods_agree(tmp_path, config_path):
     with open(numeric / "ode.csv") as fh:
         last_numeric = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))[-1]
     assert float(last_closed["eps"]) == pytest.approx(float(last_numeric["eps"]), abs=1e-4)
+
+
+@pytest.mark.parametrize("psi0", ["1e-20", "1e-300"])
+def test_ode_from_a_tiny_population_rate(tmp_path, capsys, psi0):
+    # psi0 below the rounding of the psi target: psi - a must not cancel to 0 at a
+    # threshold crossing, where the next leg's time warp divides by psi
+    preset = Path(__file__).resolve().parent.parent / "configs" / "trajectory_mid_start.txt"
+    path = tmp_path / "cfg.txt"
+    path.write_text(re.sub(r"(?m)^market\.alpha = .*$", "market.alpha = 0.5",
+                           preset.read_text()))
+    assert main(["ode", "--config", str(path), "--psi0", psi0, "--rounds", "30"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln and not ln.startswith("#")]
+    psi = [float(row["psi"]) for row in csv.DictReader(lines)]
+    assert len(psi) == 4 and psi[0] == float(psi0)
+    assert all(0.0 < p < math.inf for p in psi)
+
+
+def test_reproduce_table_in_process(tmp_path, capsys):
+    out = tmp_path / "t2"
+    code = main(["reproduce", "table2", "--seed", "0", "--out", str(out), "--strict"])
+    report = json.loads((out / "table2_report.json").read_text())
+    assert code == (0 if report["passed"] else 1)
+    assert report["rows"] and all(row["n_seeds"] == 1 for row in report["rows"])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "table2_metadata.json", "table2_report.json", "table2_rows.csv"]
+    overall = "pass" if report["passed"] else "FAIL"
+    assert capsys.readouterr().out.endswith(f"overall: {overall}\n")
 
 
 def test_simulate_writes_run_files(tmp_path, config_path, capsys):

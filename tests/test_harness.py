@@ -48,6 +48,7 @@ from sysrisk.harness import (
     write_table_report,
     write_trajectories,
 )
+from sysrisk.model import count_bound
 from sysrisk.odeflow import finite_round_estimate, ode_numeric, ode_solution_departures
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +71,16 @@ def test_config_flat_round_trip(mini_config):
     again = config_from_flat(flat)
     assert again == mini_config
     assert config_digest(again) == config_digest(mini_config)
+
+
+@pytest.mark.parametrize("raw", ["none", "None", ""])
+def test_unset_bound_loads_as_the_count_bound(mini_config, raw):
+    # an Optional field read as none takes its default: bound_N = count_bound(mean_N)
+    flat = config_to_flat(mini_config)
+    assert flat["dynamics.bound_N"] == "2"
+    config = config_from_flat({**flat, "dynamics.bound_N": raw})
+    assert config.dynamics.bound_N == count_bound(mini_config.dynamics.mean_N)
+    assert config == mini_config
 
 
 def test_config_digest_tracks_content(mini_config):

@@ -17,6 +17,7 @@ from sysrisk.odeflow import (
     _eps_after,
     _flow_legs,
     _flow_table,
+    _psi_after,
     _Segment,
     _state_at,
     avg_limit,
@@ -287,7 +288,7 @@ def test_piecewise_intervals(imitation_market, imit_dep_dynamics):
     assert [s.kappa for s in segs] == pytest.approx([-4.68, -4.68, 7.8])
     # logistic midpoints mu, exponents q and psi targets a; no mu lies inside
     # its own interval, so the closed form needs no further split
-    mu = [1.0 + s.e_dep / s.kappa for s in segs]
+    mu = [s.mu for s in segs]
     assert mu == pytest.approx([1.0, -0.1965811965811961, 1.7179487179487176])
     assert not any(s.lo < m < s.hi for s, m in zip(segs, mu))
     assert [(s.kappa + s.e_dep) / s.a for s in segs] == pytest.approx(
@@ -305,6 +306,30 @@ def test_degenerate_flow(imitation_market, imitation_dynamics):
     assert issubclass(DegenerateFlowError, ParamError)
 
 
+def test_balanced_flow_holds_eps(growth_market):
+    # b_n = b_s = 1/2 and no departures: zero drift on every segment, so the flow
+    # is balanced wherever it starts; eps stays put while psi relaxes toward mean_N
+    dyn = DynamicsParams(mean_N=1.0, mean_S=10.0, b_n=0.5, b_s=0.5, n0=300, rounds=1000)
+    eps0, psi0 = 0.3, 2.5
+    states = list(flow_at_rounds(growth_market, dyn, eps0, psi0, 0.0, 0, (10, 100, 1000)))
+    for state in states:
+        assert state.eps == eps0 and not state.pinned
+        assert state.psi == _psi_after(dyn.mean_N, psi0, state.t)
+    assert states[-1].psi < states[0].psi
+    traj = ode_numeric(growth_market, dyn, eps0, psi0, 2.0, 0.1)
+    assert len(traj.records) == 21
+    assert all(rec.eps == eps0 and not rec.pinned for rec in traj.records)
+    with pytest.raises(ParamError, match="beta: zero net drift"):
+        classify_attractors(growth_market, dyn)
+
+
+def test_psi_after_keeps_a_tiny_start():
+    # psi0 below the rounding of a: a + (psi0 - a) e^-dt would cancel to 0 here
+    dt = 4.4e-21
+    assert _psi_after(6.16, 1e-20, dt) == pytest.approx(1e-20 + 6.16 * dt, rel=1e-12)
+    assert _psi_after(6.16, 5e-324, 0.0) == 5e-324
+
+
 def test_flow_input_validation(growth_market, growth_dyn):
     with pytest.raises(ParamError):
         ode_solution(growth_market, growth_dyn, 1.2, 1.0, 1.0)
@@ -314,6 +339,9 @@ def test_flow_input_validation(growth_market, growth_dyn):
         ode_solution(growth_market, growth_dyn, 0.5, 1.0, -1.0)
     with pytest.raises(ParamError):
         ode_numeric(growth_market, growth_dyn, 0.5, 1.0, 1.0, 0.0)
+    # a departure mass passed to the flow directly must stay below arrivals
+    with pytest.raises(ParamError, match="mean_L: departures must stay below arrivals"):
+        list(flow_at_rounds(growth_market, growth_dyn, 0.5, 1.0, growth_dyn.mean_N, 0, (10,)))
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
