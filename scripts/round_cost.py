@@ -45,16 +45,16 @@ def round_cost(config, n0: int, rounds: int = ROUNDS,
     """Median microseconds per round over `TIMINGS` timings, and the final population."""
     dyn = replace(config.dynamics, n0=n0)
     rng = np.random.default_rng(0)
-    state = initial_state(config.market, dyn, rng)
-    for _ in range(warmup):
-        state, _ = step_round(state, config.market, dyn, rng)
+    n1, n2 = initial_state(config.market, dyn, rng)
+    for k in range(warmup):
+        n1, n2, _ = step_round(k, n1, n2, config.market, dyn, rng)
     timings = []
-    for _ in range(TIMINGS):
+    for t in range(TIMINGS):
         start = time.perf_counter()
-        for _ in range(rounds):
-            state, _ = step_round(state, config.market, dyn, rng)
+        for k in range(warmup + t * rounds, warmup + (t + 1) * rounds):
+            n1, n2, _ = step_round(k, n1, n2, config.market, dyn, rng)
         timings.append((time.perf_counter() - start) / rounds * 1e6)
-    return statistics.median(timings), state.n
+    return statistics.median(timings), n1 + n2
 
 
 def sampled_sweeps(market, n0: int, eps0: float) -> float:

@@ -66,6 +66,6 @@ from .odeflow import (
     ode_solution_departures,
 )
 from .records import OdeState, RoundRecord, Trajectory
-from .replicator import PopulationState, estimate_limit, initial_state, run_simulation, step_round
+from .replicator import estimate_limit, initial_state, run_simulation, step_round
 
 __version__ = "0.1.0"

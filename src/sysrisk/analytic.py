@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .clearing import class_fixed_point, defaulted
+from .clearing import class_fixed_point, defaulted, surpluses
 from .model import DerivedQuantities, DynamicsParams, MarketParams, SolverError, derive
 
 
@@ -107,17 +107,15 @@ def _interior_returns(params: MarketParams, der: DerivedQuantities) -> LimitRetu
     x, _ = _x_bar(params, der)
     eps = der.eps
     claims_1 = (1 - params.alpha) * (1 - eps) / (params.alpha + eps) * x
-    r1 = max(params.w * eps * (1 + params.r_s) + claims_1 - params.v, 0.0)
-    r2_up = max(der.k_u + der.c_eps * x - params.v - der.y, 0.0)
-    r2_down = max(der.k_d + der.c_eps * x - params.v - der.y, 0.0)
-    return LimitReturns(r1, r2_up, r2_down)
+    return LimitReturns._make(surpluses(params, eps, der.y, claims_1,
+                                        (der.k_u, der.c_eps * x), (der.k_d, der.c_eps * x)))
 
 
 def limit_returns(params: MarketParams, eps: float) -> LimitReturns:
     """Limiting returns per group; risky returns are split by shock outcome."""
     der = derive(params, eps)
     if eps == 1.0:
-        return LimitReturns(max(params.w * (1 + params.r_s) - params.v, 0.0), 0.0, 0.0)
+        return LimitReturns(surpluses(params, 1.0, der.y, 0.0)[0], 0.0, 0.0)
     return _interior_returns(params, der)
 
 

@@ -238,13 +238,17 @@ def surpluses(params: MarketParams, eps: float, y: float, claims_safe, *risky):
 
     A risk-free agent earns its endowment's return plus its claims, a risky one
     its proceeds `k` plus its claims less its debt y; both pay v first.  Returns
-    the risk-free surplus, then one per (k, claims) pair of `risky`.  Takes arrays,
-    one entry per agent, or floats, one per class, which `max` clamps cheaply.
+    the risk-free surplus, then one per (k, claims) pair of `risky`, as a list.
+    Takes arrays, one entry per agent, or floats, one per class, which `max`
+    clamps cheaply; the limit theory calls it per point, so a plain loop builds
+    the list (before Python 3.12 a comprehension costs a frame per call).
     """
     v = params.v
     clamp = np.maximum if isinstance(claims_safe, np.ndarray) else max
-    return (clamp(params.w * eps * (1 + params.r_s) + claims_safe - v, 0.0),
-            *[clamp(k + claims - v - y, 0.0) for k, claims in risky])
+    out = [clamp(params.w * eps * (1 + params.r_s) + claims_safe - v, 0.0)]
+    for k, claims in risky:
+        out.append(clamp(k + claims - v - y, 0.0))
+    return out
 
 
 def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,

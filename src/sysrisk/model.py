@@ -121,6 +121,9 @@ def derive(params: MarketParams, eps: float) -> DerivedQuantities:
     return DerivedQuantities(eps, y, c_eps, k_u, k_d, w_low, w_high, expW, a1, a2)
 
 
+_MAX_DRAW_BOUND = 2**63 - 1  # the largest count `Generator.binomial` accepts
+
+
 def count_bound(mean: float) -> int:
     """Almost-sure bound of the binomial count family with this mean: 2*ceil(mean)."""
     return 2 * math.ceil(mean)
@@ -149,9 +152,9 @@ class DynamicsParams:
     rounds: int = 1000
 
     def __post_init__(self) -> None:
-        _require(self.mean_N >= 0, "mean_N", "arrival mean cannot be negative")
-        _require(self.mean_S >= 0, "mean_S", "switch-attempt mean cannot be negative")
-        _require(self.mean_L >= 0, "mean_L", "departure-cap mean cannot be negative")
+        _require(0 <= self.mean_N < math.inf, "mean_N", "arrival mean must be finite, >= 0")
+        _require(0 <= self.mean_S < math.inf, "mean_S", "switch-attempt mean must be finite, >= 0")
+        _require(0 <= self.mean_L < math.inf, "mean_L", "departure-cap mean must be finite, >= 0")
         if self.bound_N is None:
             object.__setattr__(self, "bound_N", count_bound(self.mean_N))
         if self.bound_L is None:
@@ -170,3 +173,8 @@ class DynamicsParams:
         _require(self.rounds >= 0, "rounds", "horizon cannot be negative")
         for name in ("bound_N", "bound_L", "n0", "rounds"):
             require_count(name, getattr(self, name))
+        # numpy draws each count from a C long
+        for name, bound in (("bound_N", self.bound_N), ("bound_L", self.bound_L),
+                            ("mean_S", count_bound(self.mean_S))):
+            _require(bound <= _MAX_DRAW_BOUND, name,
+                     f"count bound {bound} exceeds the largest drawable count 2**63 - 1")

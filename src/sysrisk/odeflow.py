@@ -394,6 +394,10 @@ def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float
     return next(flow_at_rounds(params, dyn, eps0, 1.0, 0.0, l, (l + k,))).eps
 
 
+# RK4's step cap: a hundred times criterion 3's 10 000 steps (step 1e-3 to flow time 10)
+_MAX_RK4_STEPS = 10**6
+
+
 def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
                 horizon: float, step: float) -> Trajectory:
     """Fixed-step RK4 integration of the flow, one threshold segment per step.
@@ -407,12 +411,17 @@ def ode_numeric(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: fl
     pinned at an interior threshold, its rows then `pinned`, or absorbed at 0
     or 1.  A held flow's psi relaxes in closed form.  Records one `OdeState`
     per step.  A step that ends behind the flow, off its segment or at NaN,
-    or whose population rate leaves (0, inf), raises a `step:` ParamError.
+    or whose population rate leaves (0, inf), raises a `step:` ParamError, as
+    does a step that needs more than `_MAX_RK4_STEPS` steps to the horizon, before
+    the first step.  Within that cap every step moves the flow time.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ParamError(f"step: must be finite and positive, got {step!r}")
     if not (math.isfinite(horizon) and horizon >= 0.0):
         raise ParamError(f"horizon: flow time must be finite and non-negative, got {horizon!r}")
+    if horizon / step > _MAX_RK4_STEPS:
+        raise ParamError(f"step: {step!r} needs more than {_MAX_RK4_STEPS} steps to flow time "
+                         f"{horizon!r}")
     _check_start(eps0, psi0)
     table = _flow_table(params, dyn, dyn.mean_L)
 

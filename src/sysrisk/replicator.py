@@ -7,6 +7,11 @@ may leave (departures), and newcomers adopt the strategy of better-returning
 incumbents (arrivals).  All draws come from a single ``numpy`` Generator in a
 fixed order, so a run is fully determined by its seed.
 
+The state between rounds is two counts, the group sizes (n1, n2): agents
+carry no identity across rounds, because every round draws a fresh network.
+`run_simulation` keeps them, with the round index k, as locals; psi is the
+population on the round clock, n / (k + n0), and only the record carries it.
+
 Two rounds share that law.  On the complete graph (``p_ss = 1``) agents are
 interchangeable within three classes -- risk-free, up-shocked, down-shocked
 -- so the round's law depends on the class sizes alone (the chain is exactly
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,42 +45,16 @@ from .records import RoundRecord, Trajectory
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PopulationState:
-    """Population composition entering a round: the two group sizes.
-
-    Agents carry no identity across rounds, because every round draws a fresh
-    network.  ``psi`` is the population size relative to the round clock,
-    ``n / (round + n0)``.
-    """
-
-    round: int
-    n1: int
-    n2: int
-    psi: float
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
-    def eps(self) -> float:
-        return self.n1 / self.n
-
-
 def initial_state(params: MarketParams, dyn: DynamicsParams,
-                  rng_stream: np.random.Generator) -> PopulationState:
-    """Build the round-0 population.
-
-    The initial split puts ``round(eps0 * n0)`` agents in the risk-free group.
-    """
+                  rng_stream: np.random.Generator) -> tuple[int, int]:
+    """The round-0 group sizes (n1, n2): ``round(eps0 * n0)`` agents are risk-free."""
     n0 = dyn.n0
     n1 = int(round(dyn.eps0 * n0))
     n2 = n0 - n1
     # An unused warm-up draw of shocks: it advances the stream by n2 uniforms, so
     # removing it would move every seeded run of the complete graph.
     sample_shocks(params, n2, n1 / n0, rng_stream)
-    return PopulationState(round=0, n1=n1, n2=n2, psi=1.0)
+    return n1, n2
 
 
 def _draw_count(rng_stream: np.random.Generator, mean: float, bound: int) -> int:
@@ -97,34 +75,32 @@ def _draw_counts(rng_stream: np.random.Generator, dyn: DynamicsParams) -> tuple[
     return N_k, S_k, L_k
 
 
-def _clip_departures(state: PopulationState, D: int, room: int) -> int:
-    """D departures, cut to `room` (at least 0) so that two agents stay alive."""
+def _clip_departures(k: int, D: int, room: int) -> int:
+    """Round k's D departures, cut to `room` (at least 0) so that two agents stay alive."""
     if D > room:
         log.warning("round %d: clipping %d departures to %d to keep two agents alive",
-                    state.round, D, max(room, 0))
+                    k, D, max(room, 0))
         D = max(room, 0)
     return D
 
 
-def _close_round(state: PopulationState, dyn: DynamicsParams, N_k: int, xi: int,
+def _close_round(k: int, n1: int, n2: int, dyn: DynamicsParams, N_k: int, xi: int,
                  Xi1: int, Xi2: int, D: int, default_frac: float,
                  mean_r1: float | None, mean_r2: float | None
-                 ) -> tuple[PopulationState, RoundRecord]:
-    """Exact composition update and the round's record.
+                 ) -> tuple[int, int, RoundRecord]:
+    """Exact composition update and round k's record: the next (n1, n2) and the record.
 
-    ``n1' = n1 + xi + Xi1 - Xi2`` and ``n' = n + N - D``.
+    ``n1' = n1 + xi + Xi1 - Xi2`` and ``n' = n + N - D``.  psi is the population
+    on the round clock, ``n / (k + n0)``.
     """
-    n1, n = state.n1, state.n
+    n = n1 + n2
     new_n1 = n1 + xi + Xi1 - Xi2
-    new_n = n + N_k - D
-    new_n2 = new_n - new_n1
+    new_n2 = n + N_k - D - new_n1
     if new_n1 < 0 or new_n2 < 0:
-        raise RuntimeError(f"round {state.round}: negative group sizes {new_n1}, {new_n2}")
-
-    psi = new_n / (state.round + 1 + dyn.n0)
-    record = RoundRecord(state.round, n, n1, n1 / n, state.psi, default_frac,  # in CSV order
+        raise RuntimeError(f"round {k}: negative group sizes {new_n1}, {new_n2}")
+    record = RoundRecord(k, n, n1, n1 / n, n / (k + dyn.n0), default_frac,  # in CSV order
                          xi, Xi1, Xi2, D, mean_r1, mean_r2)
-    return PopulationState(round=state.round + 1, n1=new_n1, n2=new_n2, psi=psi), record
+    return new_n1, new_n2, record
 
 
 def _pick_other(rng_stream: np.random.Generator, n: int, me: np.ndarray) -> np.ndarray:
@@ -156,9 +132,9 @@ def _thin(rng_stream: np.random.Generator, count: int, p: float) -> int:
     return int(rng_stream.binomial(count, p)) if count > 0 else 0
 
 
-def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
-               rng_stream: np.random.Generator) -> tuple[PopulationState, RoundRecord]:
-    """Play one round; return the successor state and the round's record.
+def step_round(k: int, n1: int, n2: int, params: MarketParams, dyn: DynamicsParams,
+               rng_stream: np.random.Generator) -> tuple[int, int, RoundRecord]:
+    """Play round k from the group sizes (n1, n2); return the next sizes and the record.
 
     The record describes the population that *played* the round (its eps, psi
     and size at the start) together with the flows the round produced.  Order
@@ -169,14 +145,14 @@ def step_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams
     when ``dyn.mean_L > 0``.  The complete graph plays `_count_round`, sampled
     graphs `_agent_round`.
     """
-    if state.n < 2:
+    if n1 + n2 < 2:
         raise ParamError("population: need at least two agents per round")
     play = _count_round if params.p_ss == 1.0 else _agent_round
-    return play(state, params, dyn, rng_stream)
+    return play(k, n1, n2, params, dyn, rng_stream)
 
 
-def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
-                 rng_stream: np.random.Generator) -> tuple[PopulationState, RoundRecord]:
+def _count_round(k: int, n1: int, n2: int, params: MarketParams, dyn: DynamicsParams,
+                 rng_stream: np.random.Generator) -> tuple[int, int, RoundRecord]:
     """One complete-graph round from the class sizes alone, in O(1): one scalar pass.
 
     Risk-free agents earn r1; up- and down-shocked ones earn r_u and r_d and
@@ -186,7 +162,6 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
     attempters; an entrant's two distinct contacts make a mixed pair the same
     way.
     """
-    n1, n2 = state.n1, state.n2
     n = n1 + n2
     N_k, S_k, L_k = _draw_counts(rng_stream, dyn)
 
@@ -215,34 +190,33 @@ def _count_round(state: PopulationState, params: MarketParams, dyn: DynamicsPara
     D = 0
     if L_k > 0:
         candidates = (n_u - Xi1_u) * down_u + (n_d - Xi1_d) * down_d
-        D = _clip_departures(state, min(L_k, candidates), n + N_k - 2)
+        D = _clip_departures(k, min(L_k, candidates), n + N_k - 2)
 
     # -- arrivals: both contacts risk-free, or a mixed pair seen risk-free ahead.
     t_u, t_d = _seen_safe(r1, r_u, dyn.b_n), _seen_safe(r1, r_d, dyn.b_n)
     xi = _thin(rng_stream, N_k,
                (n1 * (n1 - 1) + 2 * n1 * (n_u * t_u + n_d * t_d)) / (n * (n - 1)))
 
-    return _close_round(state, dyn, N_k, xi, Xi1_u + Xi1_d, Xi2, D,
+    return _close_round(k, n1, n2, dyn, N_k, xi, Xi1_u + Xi1_d, Xi2, D,
                         (n_u * down_u + n_d * down_d) / n, r1 if n1 else None,
                         (n_u * r_u + n_d * r_d) / n2 if n2 else None)
 
 
-def _agent_round(state: PopulationState, params: MarketParams, dyn: DynamicsParams,
-                 rng_stream: np.random.Generator) -> tuple[PopulationState, RoundRecord]:
+def _agent_round(k: int, n1: int, n2: int, params: MarketParams, dyn: DynamicsParams,
+                 rng_stream: np.random.Generator) -> tuple[int, int, RoundRecord]:
     """One round agent by agent, on a freshly sampled network."""
     counts = _draw_counts(rng_stream, dyn)
-    graph = sample_network(params, state.n1, state.n2, rng_stream)
-    shocks = sample_shocks(params, state.n2, graph.eps, rng_stream)
+    graph = sample_network(params, n1, n2, rng_stream)
+    shocks = sample_shocks(params, n2, graph.eps, rng_stream)
     res = solve_clearing(graph, shocks, params)
-    return _agent_flows(state, dyn, counts, compute_returns(graph, res, shocks, params),
+    return _agent_flows(k, n1, n2, dyn, counts, compute_returns(graph, res, shocks, params),
                         rng_stream)
 
 
-def _agent_flows(state: PopulationState, dyn: DynamicsParams, counts: tuple[int, int, int],
+def _agent_flows(k: int, n1: int, n2: int, dyn: DynamicsParams, counts: tuple[int, int, int],
                  returns: ReturnsVector, rng_stream: np.random.Generator
-                 ) -> tuple[PopulationState, RoundRecord]:
+                 ) -> tuple[int, int, RoundRecord]:
     """Switching, departures and arrivals agent by agent, from the (N, S, L) counts and returns."""
-    n1, n2 = state.n1, state.n2
     n = n1 + n2
     N_k, S_k, L_k = counts
 
@@ -267,7 +241,7 @@ def _agent_flows(state: PopulationState, dyn: DynamicsParams, counts: tuple[int,
         stayed = np.ones(n2, dtype=bool)
         stayed[to_g1] = False
         candidates = returns.defaults[stayed[returns.defaults]]
-        D = _clip_departures(state, min(L_k, int(candidates.size)), n + N_k - 2)
+        D = _clip_departures(k, min(L_k, int(candidates.size)), n + N_k - 2)
         if D > 0:
             # An unused draw of who leaves; only the count D matters.  It keeps the
             # stream of every seeded sampled run and of the one-round law test of
@@ -284,7 +258,7 @@ def _agent_flows(state: PopulationState, dyn: DynamicsParams, counts: tuple[int,
         mixed, safe_ahead = _imitate(returns.r, n1, first, second, a_flips)
         xi = int(np.where(mixed, safe_ahead, first < n1).sum())
 
-    return _close_round(state, dyn, N_k, xi, Xi1, Xi2, D, returns.defaults.size / n,
+    return _close_round(k, n1, n2, dyn, N_k, xi, Xi1, Xi2, D, returns.defaults.size / n,
                         float(returns.r1.mean()) if n1 else None,
                         float(returns.r2.mean()) if n2 else None)
 
@@ -299,10 +273,10 @@ def run_simulation(config, seed: int) -> Trajectory:
     params: MarketParams = config.market
     dyn: DynamicsParams = config.dynamics
     rng = np.random.default_rng(seed)
-    state = initial_state(params, dyn, rng)
+    n1, n2 = initial_state(params, dyn, rng)
     records: list[RoundRecord] = []
-    for _ in range(dyn.rounds):
-        state, rec = step_round(state, params, dyn, rng)
+    for k in range(dyn.rounds):
+        n1, n2, rec = step_round(k, n1, n2, params, dyn, rng)
         records.append(rec)
     return Trajectory(records=records, seed=seed)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sysrisk import DynamicsParams, ExperimentConfig, MarketParams, save_config
+from sysrisk import DynamicsParams, ExperimentConfig, MarketParams, odeflow, save_config
 from sysrisk.cli import main
 
 
@@ -107,6 +107,20 @@ def test_ode_from_a_tiny_population_rate(tmp_path, capsys, psi0):
     psi = [float(row["psi"]) for row in csv.DictReader(lines)]
     assert len(psi) == 4 and psi[0] == float(psi0)
     assert all(0.0 < p < math.inf for p in psi)
+
+
+def test_ode_refuses_a_step_it_cannot_finish(config_path, capsys, monkeypatch):
+    # a step below half the float spacing of the flow time would never end; the cap on
+    # the step count refuses it before the flow table is built
+    def no_flow_table(*args):
+        raise AssertionError("ode_numeric went past its input checks")
+
+    monkeypatch.setattr(odeflow, "_flow_table", no_flow_table)
+    assert main(["ode", "--config", str(config_path), "--method", "numeric",
+                 "--step", "1e-25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: step: ")
 
 
 def test_reproduce_table_in_process(tmp_path, capsys):
@@ -244,6 +258,28 @@ def test_non_finite_values_exit_2(tmp_path, capsys, key, value, drop):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {key}: expected a finite number, got {value!r}\n"
+
+
+# numpy draws each round's counts from a C long, so a count bound above 2**63 - 1 is
+# refused when the config loads, not met as an OverflowError in the first round
+@pytest.mark.parametrize("sets, key", [
+    ({"dynamics.mean_S": "1e30"}, "mean_S"),
+    ({"dynamics.bound_N": "10000000000000000000"}, "bound_N"),
+    ({"dynamics.mean_N": "1e30", "dynamics.bound_N": "none"}, "bound_N"),
+])
+def test_undrawable_count_bounds_exit_2(tmp_path, capsys, sets, key):
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / "trajectory_mid_start.txt").read_text()
+    for name, value in sets.items():
+        text = re.sub(rf"(?m)^{re.escape(name)} = .*$", f"{name} = {value}", text)
+    bad = tmp_path / "bounds.txt"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {key}: count bound ")
 
 
 def test_repeated_key_exits_2(tmp_path, config_path, capsys):

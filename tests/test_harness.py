@@ -178,6 +178,26 @@ def test_shipped_config_stream_pins(name):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == STREAM_PINS[name]
 
 
+# SHA-256 of the trajectory export of `trajectory_mid_start.txt` on a sampled graph
+# (p_ss = 0.5, n0 = 200, 30 rounds) over seeds 0 and 1.  It pins the agent-by-agent
+# round (`replicator._agent_round` and `_agent_flows`): the network, shock and flow
+# draws and the sampled clearing.  The run has 52 departures and 95 switches.
+SAMPLED_STREAM_PIN = "164149f4c83963238f5956c2f1bd28a34dbc486844e0eb15682cfede1e12d277"
+
+
+def test_sampled_graph_stream_pin():
+    config = load_config(ROOT / "configs" / "trajectory_mid_start.txt")
+    config = replace(config, market=replace(config.market, p_ss=0.5),
+                     dynamics=replace(config.dynamics, n0=200, rounds=30))
+    trajs = [run_simulation(config, seed) for seed in (0, 1)]
+    records = [rec for traj in trajs for rec in traj.records]
+    assert sum(rec.departures for rec in records) == 52
+    assert sum(rec.Xi1 + rec.Xi2 for rec in records) == 95
+    buf = io.StringIO()
+    write_trajectories(buf, trajs)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SAMPLED_STREAM_PIN
+
+
 # SHA-256 of seed-free flow exports: the closed-form flow of each figure config from
 # its eps0 at psi = 1 over all its rounds, and table 3's first row integrated by RK4
 # to flow time 10 at step 1e-3.  They pin the flow rows and their CSV form.

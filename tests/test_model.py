@@ -43,6 +43,10 @@ def test_dynamics_invariants():
         DynamicsParams(mean_N=1.0, mean_S=10.0, b_s=1.1)
     with pytest.raises(ParamError):
         DynamicsParams(mean_N=5.0, mean_S=1.0, bound_N=4)
+    # an infinite mean has no count bound to draw from
+    for name in ("mean_N", "mean_S", "mean_L"):
+        with pytest.raises(ParamError, match=f"^{name}: "):
+            DynamicsParams(**{"mean_N": 7.0, "mean_S": 6.0, name: math.inf})
 
 
 @pytest.mark.parametrize("name, count", [("rounds", 2.5), ("rounds", 1000.0), ("n0", 300.5),

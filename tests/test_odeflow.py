@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from sysrisk import DynamicsParams, MarketParams, ParamError
+from sysrisk import DynamicsParams, MarketParams, ParamError, odeflow
 from sysrisk.analytic import drift_rates, mean_return_gap
 from sysrisk.harness import figure_configs, table2_spec, table3_spec, table4_spec
 from sysrisk.odeflow import (
@@ -356,6 +356,19 @@ def test_rk4_rejects_bad_horizon(growth_market, growth_dyn, horizon):
     # checked before the first step: an infinite horizon would never return
     with pytest.raises(ParamError, match="^horizon: "):
         ode_numeric(growth_market, growth_dyn, 0.5, 1.0, horizon, 1e-3)
+
+
+def _no_flow_table(*args):
+    raise AssertionError("ode_numeric went past its input checks")
+
+
+@pytest.mark.parametrize("horizon, step", [(10.0, 1e-6), (1.0, 1e-25)])
+def test_rk4_caps_its_step_count(growth_market, growth_dyn, monkeypatch, horizon, step):
+    # checked before the first step: 10^7 steps would take minutes, and a step below
+    # half the float spacing of the flow time would never end
+    monkeypatch.setattr(odeflow, "_flow_table", _no_flow_table)
+    with pytest.raises(ParamError, match="^step: .* more than 1000000 steps"):
+        ode_numeric(growth_market, growth_dyn, 0.5, 1.0, horizon, step)
 
 
 @pytest.mark.parametrize("l, k", [(0, math.inf), (0, math.nan), (math.nan, 10), (0, 10.5)])

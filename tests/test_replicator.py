@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from sysrisk.clearing import ReturnsVector, defaulted, surpluses
 from sysrisk.model import borrower_debt, count_bound
 from sysrisk.netgen import edge_weights, sample_shocks
 from sysrisk.replicator import (
-    PopulationState,
     _agent_flows,
     _count_round,
     _draw_counts,
@@ -119,12 +118,10 @@ def test_all_safe_population_skips_clearing(imitation_market):
         assert rec.default_frac == 0.0
 
 
-def test_state_is_four_numbers(imitation_market):
+def test_state_is_two_counts(imitation_market):
     # the graph is drawn afresh each round, so the state holds counts, not agents
-    assert [f.name for f in fields(PopulationState)] == ["round", "n1", "n2", "psi"]
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, b_n=0.8, b_s=0.8, n0=100, eps0=0.4)
-    state = initial_state(imitation_market, dyn, np.random.default_rng(17))
-    assert state == PopulationState(round=0, n1=40, n2=60, psi=1.0)
+    assert initial_state(imitation_market, dyn, np.random.default_rng(17)) == (40, 60)
 
 
 def test_estimate_limit_tail_mean():
@@ -201,10 +198,11 @@ COUNTS = slice(0, 4)  # the integer components of ROUND_LAW
 
 
 def _round_law(play, market, dyn, state, seed, draws):
+    """`draws` plays of one round from state = (k, n1, n2): the ROUND_LAW of each."""
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(draws):
-        _, rec = play(state, market, dyn, rng)
+        *_, rec = play(*state, market, dyn, rng)
         rows.append(tuple(getattr(rec, name) for name in ROUND_LAW))
     return rows
 
@@ -249,19 +247,19 @@ def _chi2_bound(df):
 ORACLE_CASES = {
     # the table-3 imitation market mid-way, departures on: the down class defaults
     "departures": (DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8),
-                   "imitation", PopulationState(round=0, n1=200, n2=300, psi=1.0)),
+                   "imitation", (0, 200, 300)),
     # three risky agents: an empty shock class is common and the peer weight large
     "small_n2": (DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=1.75, b_n=0.4, b_s=0.4),
-                 "imitation", PopulationState(round=0, n1=97, n2=3, psi=1.0)),
+                 "imitation", (0, 97, 3)),
     # heavy senior debt: whether r1 > 0 hinges on the up-class draw, and ties are common
     "systemic": (DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=1.75, b_n=0.4, b_s=0.4),
-                 "systemic", PopulationState(round=0, n1=100, n2=100, psi=1.0)),
+                 "systemic", (0, 100, 100)),
     # attempts up to the whole population, so drawing attempters without replacement shows
     "crowded": (DynamicsParams(mean_N=7.0, mean_S=30.0, mean_L=5.6, b_n=0.9, b_s=0.7),
-                "imitation", PopulationState(round=0, n1=20, n2=30, psi=1.0)),
+                "imitation", (0, 20, 30)),
     # four agents: a contact is one of the n - 1 others, a third off from 1/n here
     "tiny": (DynamicsParams(mean_N=7.0, mean_S=30.0, mean_L=1.75, b_n=0.9, b_s=0.9),
-             "imitation", PopulationState(round=0, n1=2, n2=2, psi=1.0)),
+             "imitation", (0, 2, 2)),
 }
 
 
@@ -290,24 +288,24 @@ def _newton_clearing(b, sig2, y):
     raise AssertionError("Newton from above: the regimes never settled")
 
 
-def _newton_round(state, market, dyn, rng):
+def _newton_round(k, n1, n2, market, dyn, rng):
     """`_agent_round` on the complete graph: its flows, on returns of `_newton_clearing`.
 
     Draws as `_agent_round` does (the complete graph has no links to draw), and
     certifies every solve from outside: one map application moves no payment by
     more than 1e-12 * y.
     """
-    n1, n2, eps = state.n1, state.n2, state.eps
+    eps = n1 / (n1 + n2)
     counts = _draw_counts(rng, dyn)
-    k = sample_shocks(market, n2, eps, rng).k
+    proceeds = sample_shocks(market, n2, eps, rng).k
     y, (w_g1, w_g2) = borrower_debt(market, eps), edge_weights(market, n1, n2)
-    X = _newton_clearing(k - market.v, w_g2 / y, y)
+    X = _newton_clearing(proceeds - market.v, w_g2 / y, y)
     owed_in = w_g2 / y * (X.sum() - X)
-    assert np.all(np.abs(np.clip(k + owed_in - market.v, 0.0, y) - X) <= 1e-12 * y)
-    r1, r2 = surpluses(market, eps, y, np.full(n1, w_g1 / y * X.sum()), (k, owed_in))
+    assert np.all(np.abs(np.clip(proceeds + owed_in - market.v, 0.0, y) - X) <= 1e-12 * y)
+    r1, r2 = surpluses(market, eps, y, np.full(n1, w_g1 / y * X.sum()), (proceeds, owed_in))
     returns = ReturnsVector(r=np.concatenate([r1, r2]), n1=n1,
                             defaults=np.flatnonzero(defaulted(X, y)))
-    return _agent_flows(state, dyn, counts, returns, rng)
+    return _agent_flows(k, n1, n2, dyn, counts, returns, rng)
 
 
 def _no_kernel(*args, **kwargs):
@@ -332,25 +330,24 @@ def test_count_round_matches_agent_round(case, imitation_market, monkeypatch):
     assert df >= 1 and chi2 <= _chi2_bound(df)
 
 
-def _count_rounds(market, dyn, state, seed, rounds):
+def _count_rounds(market, dyn, n1, n2, seed, rounds):
+    """`rounds` independent plays of round 0 from (n1, n2): each (n1', n2', record)."""
     rng = np.random.default_rng(seed)
-    return [_count_round(state, market, dyn, rng) for _ in range(rounds)]
+    return [_count_round(0, n1, n2, market, dyn, rng) for _ in range(rounds)]
 
 
 def test_count_round_all_safe(imitation_market):
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8)
-    state = PopulationState(round=0, n1=50, n2=0, psi=1.0)
-    for nxt, rec in _count_rounds(imitation_market, dyn, state, 1, 200):
+    for n1, n2, rec in _count_rounds(imitation_market, dyn, 50, 0, 1, 200):
         # every entrant meets two risk-free agents; nobody can switch, default or leave
-        assert nxt.n2 == 0 and nxt.n1 == 50 + rec.xi
+        assert n2 == 0 and n1 == 50 + rec.xi
         assert (rec.Xi1, rec.Xi2, rec.departures, rec.default_frac) == (0, 0, 0, 0.0)
         assert rec.mean_r2 is None and rec.mean_r1 > 0.0
 
 
 def test_count_round_all_risky():
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8)
-    state = PopulationState(round=0, n1=0, n2=50, psi=1.0)
-    recs = [rec for _, rec in _count_rounds(DEEP_DEBT, dyn, state, 2, 200)]
+    recs = [rec for *_, rec in _count_rounds(DEEP_DEBT, dyn, 0, 50, 2, 200)]
     # no mixed pair exists, so no switch and no entrant turns risk-free
     assert all((rec.xi, rec.Xi1, rec.Xi2, rec.mean_r1) == (0, 0, 0, None) for rec in recs)
     assert any(rec.departures > 0 for rec in recs)
@@ -358,11 +355,10 @@ def test_count_round_all_risky():
 
 def test_count_round_single_risky_agent_has_no_peer(imitation_market):
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8)
-    state = PopulationState(round=0, n1=99, n2=1, psi=1.0)
     assert edge_weights(imitation_market, 99, 1)[1] == 0.0
-    der = derive(imitation_market, state.eps)
+    der = derive(imitation_market, 99 / 100)
     expect = {max(k - imitation_market.v - der.y, 0.0) for k in (der.k_u, der.k_d)}
-    for nxt, rec in _count_rounds(imitation_market, dyn, state, 3, 200):
+    for *_, rec in _count_rounds(imitation_market, dyn, 99, 1, 3, 200):
         # with no peer to lend to it, the one borrower earns its own proceeds less its debt
         assert rec.mean_r2 in expect
         assert rec.Xi1 + rec.departures <= 1
@@ -372,27 +368,25 @@ def test_count_round_ties_favour_risk_free():
     # at eps = 0.02 every agent ends at zero surplus, so every comparison is a tie;
     # read without error, each tie goes to the risk-free side
     dyn = DynamicsParams(mean_N=7.0, mean_S=30.0, b_n=1.0, b_s=1.0)
-    state = PopulationState(round=0, n1=10, n2=490, psi=1.0)
-    out = _count_rounds(DEEP_DEBT, dyn, state, 4, 300)
-    assert all(rec.mean_r1 == rec.mean_r2 == 0.0 for _, rec in out)
-    assert all(rec.Xi2 == 0 for _, rec in out)       # risk-free attempters stay
-    assert sum(rec.Xi1 for _, rec in out) > 0        # risky ones meeting a risk-free agent move
+    n, n2 = 500, 490
+    out = _count_rounds(DEEP_DEBT, dyn, n - n2, n2, 4, 300)
+    assert all(rec.mean_r1 == rec.mean_r2 == 0.0 for *_, rec in out)
+    assert all(rec.Xi2 == 0 for *_, rec in out)       # risk-free attempters stay
+    assert sum(rec.Xi1 for *_, rec in out) > 0        # risky ones meeting a risk-free agent move
     # an entrant turns risk-free exactly when one of its two contacts is risk-free
-    n, n2 = state.n, state.n2
     p_join = 1 - n2 * (n2 - 1) / (n * (n - 1))
-    xi = sum(rec.xi for _, rec in out)
-    arrivals = sum(nxt.n - n for nxt, _ in out)
+    xi = sum(rec.xi for *_, rec in out)
+    arrivals = sum(n1_next + n2_next - n for n1_next, n2_next, _ in out)
     assert abs(xi - p_join * arrivals) <= 4 * (arrivals * p_join * (1 - p_join)) ** 0.5
 
 
 def test_count_round_clips_departures_to_two_agents(caplog):
     # an all-risky pair under heavy senior debt: any departure must be cut
     dyn = DynamicsParams(mean_N=1.5, mean_S=6.0, mean_L=1.0, bound_L=10, b_n=0.8, b_s=0.8)
-    state = PopulationState(round=0, n1=0, n2=2, psi=1.0)
     with caplog.at_level("WARNING", logger="sysrisk.replicator"):
-        out = _count_rounds(SYSTEMIC, dyn, state, 5, 300)
-    assert all(nxt.n >= 2 for nxt, _ in out)
-    assert all(rec.departures <= rec.default_frac * state.n for _, rec in out)
+        out = _count_rounds(SYSTEMIC, dyn, 0, 2, 5, 300)
+    assert all(n1 + n2 >= 2 for n1, n2, _ in out)
+    assert all(rec.departures <= rec.default_frac * 2 for *_, rec in out)
     assert any("clipping" in msg for msg in caplog.messages)
 
 
@@ -404,16 +398,16 @@ def test_count_round_bookkeeping(imitation_market, seed, n1, n2, systemic):
         n2 = 2 - n1
     market = SYSTEMIC if systemic else imitation_market
     dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8)
-    state = PopulationState(round=3, n1=n1, n2=n2, psi=0.9)
-    nxt, rec = _count_round(state, market, dyn, np.random.default_rng(seed))
-    assert (rec.round, rec.n, rec.n1, rec.psi) == (3, state.n, n1, 0.9)
-    assert nxt.n1 == n1 + rec.xi + rec.Xi1 - rec.Xi2 and nxt.round == 4
-    arrivals = nxt.n - state.n + rec.departures
+    n = n1 + n2
+    n1_next, n2_next, rec = _count_round(3, n1, n2, market, dyn, np.random.default_rng(seed))
+    # psi is the population on the round clock, formed from the round index exactly
+    assert (rec.round, rec.n, rec.n1, rec.psi) == (3, n, n1, n / (3 + dyn.n0))
+    assert n1_next == n1 + rec.xi + rec.Xi1 - rec.Xi2
+    arrivals = n1_next + n2_next - n + rec.departures
     assert 0 <= rec.xi <= arrivals <= dyn.bound_N
     assert 0 <= rec.Xi2 <= n1 and 0 <= rec.Xi1 <= n2
     assert rec.Xi1 + rec.Xi2 <= count_bound(dyn.mean_S)
     # departures come from the defaulted risky agents that did not just switch away
-    defaulted_agents = round(rec.default_frac * state.n)
+    defaulted_agents = round(rec.default_frac * n)
     assert 0 <= rec.departures <= min(dyn.bound_L, defaulted_agents) and defaulted_agents <= n2
-    assert nxt.n >= 2
-    assert nxt.psi == pytest.approx(nxt.n / (4 + dyn.n0))
+    assert n1_next + n2_next >= 2
