@@ -10,9 +10,11 @@ thresholds of the risk-free fraction:
   eps_bar_2  above which every risky agent defaults (the systemic regime),
   eps_bar    at which q jumps from 1-delta to 1.
 
-Parameters with v <= w(1+d) are fully covered by the closed forms.  For larger
-v the limit payments solve x_i = clip(k_i - v + c_eps * x_bar, 0, y) per shock
-class i, with x_bar = delta * x_u + (1 - delta) * x_d.  That makes x_bar the
+Parameters with v <= w(1+d) are fully covered by the closed forms of three
+regimes (no default, shock default, all default), whose boundaries `_x_bar`
+alone forms.  For larger v the limit payments solve
+x_i = clip(k_i - v + c_eps * x_bar, 0, y) per shock class i, with
+x_bar = delta * x_u + (1 - delta) * x_d.  That makes x_bar the
 greatest fixed point of one monotone, piecewise-linear scalar map, solved
 exactly by the kernel the finite complete graph uses
 (`clearing.class_fixed_point`); a class defaults by the finite network's rule
@@ -62,20 +64,22 @@ class Thresholds(NamedTuple):
 def _x_bar(params: MarketParams, der: DerivedQuantities) -> tuple[float, DefaultRegime | None]:
     """Limit clearing value at der.eps, with its regime where a closed form holds.
 
-    Applies at eps = 1 too (bisections need that).  The regime is None when
-    senior debt exceeds the down-move proceeds: x_bar is then the exactly
-    solved fixed point and the caller reads the regime off it.
+    Applies at eps = 1 too (bisections need that).  The shock-default test is
+    in product form, so it holds whatever the sign of its bracket.  The regime
+    is None when senior debt exceeds the down-move proceeds: x_bar is then the
+    exactly solved fixed point and the caller reads the regime off it.
     """
-    c, delta = der.c_eps, params.delta
-    if der.w_low >= 0:  # down-move proceeds cover senior debt: closed forms hold
-        if c >= der.a1:
-            return der.y, DefaultRegime.NO_DEFAULT
-        if c >= der.a2:
-            return ((delta * der.y + (1 - delta) * der.w_low) / (1 - (1 - delta) * c),
+    c, delta, y, w_low, w_high = der.c_eps, params.delta, der.y, der.w_low, der.w_high
+    if w_low >= 0:  # down-move proceeds cover senior debt: closed forms hold
+        if c >= (y - w_low) / y:
+            return y, DefaultRegime.NO_DEFAULT
+        if c * (y - (1 - delta) * (w_high - w_low)) >= y - w_high:
+            # below y in exact arithmetic, but it can round an ulp above y as delta -> 1
+            return (min((delta * y + (1 - delta) * w_low) / (1 - (1 - delta) * c), y),
                     DefaultRegime.SHOCK_DEFAULT)
-        return der.expW / (1 - c), DefaultRegime.ALL_DEFAULT
+        return (delta * w_high + (1 - delta) * w_low) / (1 - c), DefaultRegime.ALL_DEFAULT
     # no closed form: solve x_bar = sum_i P(i) * clip(k_i - v + c * x_bar, 0, y) exactly
-    return class_fixed_point((delta, 1 - delta), (der.w_high, der.w_low), c, der.y), None
+    return class_fixed_point((delta, 1 - delta), (w_high, w_low), c, y), None
 
 
 def _interior_limit(params: MarketParams, der: DerivedQuantities) -> ClearingLimit:

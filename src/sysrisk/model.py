@@ -1,8 +1,10 @@
 """Static economy parameters and the per-fraction derived quantities.
 
 Everything downstream (limit theory, network sampling, clearing, the ODE
-flows) consumes the two parameter dataclasses plus `derive`.  All functions
-here are pure and O(1).
+flows) consumes the two parameter dataclasses plus `derive`, which holds
+only what a simulated round or a limit point reads; the limit's regime
+boundaries are formed in `analytic` alone.  All functions here are pure and
+O(1).
 """
 from __future__ import annotations
 
@@ -76,8 +78,9 @@ class MarketParams:
 class DerivedQuantities(NamedTuple):
     """Per-fraction quantities below; `eps` is the risk-free share of agents.
 
-    A named tuple rather than a frozen dataclass: it is built once per limit
-    point and per simulated round, and a tuple builds in about half the time.
+    What a simulated round or a limit point reads at that fraction.  A named
+    tuple rather than a frozen dataclass: it is built once per limit point and
+    per simulated round, and a tuple builds in about half the time.
     """
 
     eps: float
@@ -87,14 +90,6 @@ class DerivedQuantities(NamedTuple):
     k_d: float      # risky proceeds after a down-move
     w_low: float    # k_d - v
     w_high: float   # k_u - v
-    expW: float     # mean of the shocked net proceeds
-    a1: float       # no-default boundary for c_eps
-    a2: float       # all-default boundary for c_eps
-
-
-def borrower_debt(params: MarketParams, eps: float) -> float:
-    """`derive`'s y alone: what a risky agent owes in total, interest included."""
-    return params.w * (params.alpha + eps) * (1 + params.r_b) / (1 - params.alpha)
 
 
 def derive(params: MarketParams, eps: float) -> DerivedQuantities:
@@ -104,21 +99,12 @@ def derive(params: MarketParams, eps: float) -> DerivedQuantities:
     """
     if not 0.0 <= eps <= 1.0:
         raise ParamError(f"eps: fraction {eps!r} outside [0, 1]")
-    w, v, alpha, delta = params.w, params.v, params.alpha, params.delta
-    y = borrower_debt(params, eps)
+    w, v, alpha = params.w, params.v, params.alpha
+    y = w * (alpha + eps) * (1 + params.r_b) / (1 - alpha)
     c_eps = alpha * (1 + eps) / (alpha + eps)
     k_u = w * (1 + eps) * (1 + params.u)
     k_d = w * (1 + eps) * (1 + params.d)
-    w_low = k_d - v
-    w_high = k_u - v
-    expW = delta * w_high + (1 - delta) * w_low
-    a1 = (y - w_low) / y
-    a2_denom = y - (1 - delta) * (w_high - w_low)
-    if a2_denom == 0.0:
-        raise ParamError("all-default boundary undefined: interbank claims "
-                         "exactly offset the retained shock spread")
-    a2 = (y - w_high) / a2_denom
-    return DerivedQuantities(eps, y, c_eps, k_u, k_d, w_low, w_high, expW, a1, a2)
+    return DerivedQuantities(eps, y, c_eps, k_u, k_d, k_d - v, k_u - v)
 
 
 _MAX_DRAW_BOUND = 2**63 - 1  # the largest count `Generator.binomial` accepts

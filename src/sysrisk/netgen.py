@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import MarketParams, ParamError, borrower_debt, derive
+from .model import MarketParams, ParamError, derive
 
 
 class Edges(NamedTuple):
@@ -146,7 +146,7 @@ def sample_network(params: MarketParams, n1: int, n2: int,
     if params.p_ss == 1.0:
         raise ParamError("p_ss: the complete graph is cleared by class, never sampled")
     eps = n1 / (n1 + n2)
-    y = borrower_debt(params, eps)
+    y = derive(params, eps).y
     w_g1, w_g2 = edge_weights(params, n1, n2)
     # peer column c of borrower j is peer c + (c >= j): the diagonal is never drawn
     borrower, col = _linked_cells(rng_stream, n2, n2 - 1, params.p_ss)

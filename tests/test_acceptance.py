@@ -44,6 +44,10 @@ IMIT = MarketParams(w=70.0, v=15.0, alpha=0.95, delta=0.8,
 GROWTH = MarketParams(w=70.0, v=20.0, alpha=0.95, delta=0.85,
                       u=0.15, d=-0.6, r_s=0.1, r_b=0.11)
 GROWTH_LOW = replace(GROWTH, delta=0.45)
+# In theory, with y below the retained shock spread (1 - delta)(k_u - k_d) for eps < 0.51:
+# there the shock-default test's bracket y - (1 - delta)(w_high - w_low) is negative.
+LOW_ALPHA = MarketParams(w=70.0, v=6.0, alpha=0.1, delta=0.7,
+                         u=0.9, d=-0.9, r_s=0.01, r_b=0.2)
 IMIT_DYN = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=5.6, b_n=0.8, b_s=0.8,
                           n0=500, eps0=0.4, rounds=4000)
 
@@ -72,7 +76,7 @@ def _picard(params: MarketParams, eps: float) -> float:
 def test_criterion_1_clearing_limit_oracle():
     t0 = time.perf_counter()
     worst = 0.0
-    for market in (IMIT, GROWTH):
+    for market in (IMIT, GROWTH, LOW_ALPHA):
         for i in range(1, 100):
             eps = i / 100
             y = market.w * (market.alpha + eps) * (1 + market.r_b) / (1 - market.alpha)

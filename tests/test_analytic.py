@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sysrisk import MarketParams
 from sysrisk.analytic import (
@@ -218,3 +219,35 @@ def test_systemic_closed_forms():
         assert cl.regime is DefaultRegime.ALL_DEFAULT and cl.p_d == 1.0
         y = market.w * (market.alpha + eps) * (1 + market.r_b) / (1 - market.alpha)
         assert abs(cl.x_bar - picard_limit(market, eps)) <= 1e-8 * y
+
+
+@st.composite
+def in_theory_market(draw) -> MarketParams:
+    """`test_model.market_and_eps`'s ranges, with senior debt covered by down-move proceeds."""
+    w = draw(st.floats(1.0, 500.0))
+    alpha = draw(st.floats(0.05, 0.99))
+    delta = draw(st.floats(0.05, 1.0))
+    d = draw(st.floats(-0.95, 0.0))
+    r_s = draw(st.floats(0.01, 0.5))
+    r_b = draw(st.floats(r_s, r_s + 0.5))
+    u = draw(st.floats(r_b + 0.01, r_b + 2.0))
+    v = draw(st.floats(0.0, w * (1 + d)))
+    return MarketParams(w=w, v=v, alpha=alpha, delta=delta, u=u, d=d, r_s=r_s, r_b=r_b)
+
+
+@settings(max_examples=200, deadline=None)
+# at eps = 1 no risky agent is left and x_bar is y by convention, not a fixed point
+@given(market=in_theory_market(), eps=st.floats(0.0, 1.0, exclude_max=True))
+# y < (1 - delta)(k_u - k_d) here, which no preset market reaches: the shock-default
+# test's bracket is negative
+@example(market=MarketParams(w=70.0, v=6.0, alpha=0.1, delta=0.7, u=0.9, d=-0.9,
+                             r_s=0.01, r_b=0.2), eps=0.1)
+# delta one ulp below 1: the shock-default quotient rounded an ulp above y
+@example(market=MarketParams(w=183.0, v=31.0, alpha=0.375, delta=0.9999999999999998,
+                             u=1.0, d=-0.1875, r_s=0.5, r_b=0.5), eps=0.9375)
+def test_closed_form_matches_picard_oracle(market, eps):
+    y = market.w * (market.alpha + eps) * (1 + market.r_b) / (1 - market.alpha)
+    x_bar = clearing_limit(market, eps).x_bar
+    assert 0.0 <= x_bar <= y
+    assert abs(x_bar - picard_limit(market, eps)) <= 1e-8 * y
+    thresholds(market, check=True)  # raises SolverError if its two routes disagree

@@ -20,7 +20,7 @@ from sysrisk.clearing import (
     default_stats,
     solve_clearing,
 )
-from sysrisk.model import ParamError, SolverError, borrower_debt, derive
+from sysrisk.model import SolverError, derive
 from sysrisk.netgen import (
     Edges,
     LiabilityGraph,
@@ -68,7 +68,7 @@ def _complete(n1, n2, y, eps, w_g1, w_g2):
 def _market_complete(params, n1, n2):
     """A market's complete graph on n1 risk-free and n2 risky agents, every link held."""
     eps = n1 / (n1 + n2)
-    return _complete(n1, n2, borrower_debt(params, eps), eps, *edge_weights(params, n1, n2))
+    return _complete(n1, n2, derive(params, eps).y, eps, *edge_weights(params, n1, n2))
 
 
 def _peer_graph(y=10.0, w_g2=3.0):
@@ -406,10 +406,7 @@ def test_complete_graph_matches_regime_oracle(alpha, delta, v_share, n1, up):
     params = MarketParams(w=w, v=v_share * w * (1 + u), alpha=alpha, delta=delta,
                           u=u, d=-0.6, r_s=0.1, r_b=0.11)
     g = _market_complete(params, n1, len(up))
-    try:
-        der = derive(params, g.eps)
-    except ParamError:  # a degenerate all-default boundary
-        assume(False)
+    der = derive(params, g.eps)
     mask = np.array(up)
     s = _Shocks(k=np.where(mask, der.k_u, der.k_d), up=mask, k_u=der.k_u, k_d=der.k_d)
     res = _clear_by_class(g, s, params)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sysrisk import DynamicsParams, ExperimentConfig, MarketParams, odeflow, save_config
+from sysrisk.analytic import DefaultRegime, clearing_limit
 from sysrisk.cli import main
 
 
@@ -158,6 +159,18 @@ def test_simulate_seed_override_changes_output(config_path, capsys):
     first = capsys.readouterr().out
     assert main(["simulate", "--config", str(config_path), "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_simulate_runs_where_shock_spread_offsets_interbank_debt(tmp_path, capsys):
+    # at eps = 0, y equals the retained shock spread (1 - delta)(w_high - w_low): the
+    # shock-default test's bracket is exactly 0, yet nobody defaults (c = 1 >= 1 - w_low / y)
+    market = MarketParams(w=1.0, v=0.0, alpha=0.5, delta=0.5, u=1.5, d=-0.5, r_s=0.0, r_b=0.0)
+    assert clearing_limit(market, 0.0)[:3] == (1.0, 0.0, DefaultRegime.NO_DEFAULT)
+    dyn = DynamicsParams(mean_N=1.0, mean_S=2.0, n0=10, eps0=0.0, rounds=5)
+    path = tmp_path / "cfg.txt"
+    save_config(ExperimentConfig(market=market, dynamics=dyn, seeds=(0,)), path)
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert "seed=0" in capsys.readouterr().out
 
 
 def test_ess_verdict_lines(config_path, capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, ParamError, derive
 
@@ -72,7 +72,6 @@ def test_derive_matches_hand_computation(growth_market):
     assert q.k_u == pytest.approx(w * 1.5 * 1.15)
     assert q.k_d == pytest.approx(w * 1.5 * 0.4)
     assert q.w_low == pytest.approx(q.k_d - 20.0)
-    assert q.expW == pytest.approx(0.85 * q.w_high + 0.15 * q.w_low)
 
 
 def test_derive_rejects_bad_fraction(growth_market):
@@ -100,17 +99,10 @@ def market_and_eps(draw):
 @given(market_and_eps())
 def test_derive_identities(case):
     params, eps = case
-    try:
-        q = derive(params, eps)
-    except ParamError:
-        assume(False)  # all-default boundary degenerate for this draw
+    q = derive(params, eps)
     assert q.y > 0
     assert 0 < q.c_eps <= 1 + 1e-12
     assert q.k_d <= q.k_u
-    assert q.w_low <= q.expW <= q.w_high
-    if q.w_low >= 0 and q.y > (1 - params.delta) * (q.k_u - q.k_d):
-        # boundaries are only ordered where both are reachable
-        assert q.a2 <= q.a1 + 1e-12
     # c_eps is the claim share: y * c_eps equals the interbank inflow at par
     assert q.c_eps * q.y == pytest.approx(params.alpha * params.w * (1 + eps)
                                           * (1 + params.r_b) / (1 - params.alpha))

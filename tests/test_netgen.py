@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from sysrisk import MarketParams, ParamError, derive, netgen
-from sysrisk.model import borrower_debt
 from sysrisk.netgen import edge_weights, sample_network, sample_shocks
 
 
@@ -25,7 +24,7 @@ def test_complete_graph_weights(market):
     assert w_g1 == pytest.approx(70 * 1.11 / 8)
     # every borrower owes all n1 risk-free agents and its n2 - 1 risky peers,
     # and those obligations sum to its full liability y
-    assert 3 * w_g1 + (5 - 1) * w_g2 == pytest.approx(borrower_debt(market, 3 / 8), rel=1e-12)
+    assert 3 * w_g1 + (5 - 1) * w_g2 == pytest.approx(derive(market, 3 / 8).y, rel=1e-12)
     # the complete graph is cleared by class from its weights, and never drawn
     with pytest.raises(ParamError, match="^p_ss: "):
         sample_network(market, 3, 5, np.random.default_rng(0))
@@ -45,7 +44,7 @@ def test_sampled_graph_without_borrowers_draws_nothing(market):
 @given(n1=st.integers(0, 30), n2=st.integers(2, 30))
 def test_borrower_shares_sum_to_one(market, n1, n2):
     w_g1, w_g2 = edge_weights(market, n1, n2)
-    shares = (n1 * w_g1 + (n2 - 1) * w_g2) / borrower_debt(market, n1 / (n1 + n2))
+    shares = (n1 * w_g1 + (n2 - 1) * w_g2) / derive(market, n1 / (n1 + n2)).y
     assert shares == pytest.approx(1.0, rel=1e-12)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sysrisk import DynamicsParams, MarketParams, RoundRecord, Trajectory, clearing, derive
 from sysrisk.clearing import ReturnsVector, defaulted, surpluses
-from sysrisk.model import borrower_debt, count_bound
+from sysrisk.model import count_bound
 from sysrisk.netgen import edge_weights, sample_shocks
 from sysrisk.replicator import (
     _agent_flows,
@@ -298,7 +298,7 @@ def _newton_round(k, n1, n2, market, dyn, rng):
     eps = n1 / (n1 + n2)
     counts = _draw_counts(rng, dyn)
     proceeds = sample_shocks(market, n2, eps, rng).k
-    y, (w_g1, w_g2) = borrower_debt(market, eps), edge_weights(market, n1, n2)
+    y, (w_g1, w_g2) = derive(market, eps).y, edge_weights(market, n1, n2)
     X = _newton_clearing(proceeds - market.v, w_g2 / y, y)
     owed_in = w_g2 / y * (X.sum() - X)
     assert np.all(np.abs(np.clip(proceeds + owed_in - market.v, 0.0, y) - X) <= 1e-12 * y)
