@@ -5,7 +5,9 @@ The cell is table 4's first row (imitation market, b_n = b_s = 0.4,
 eps0 = 0.4, mean_L = 1.75, departures on).  On the complete graph it is
 started at each n0 in `SIZES`: the script plays a few untimed rounds, then
 times `replicator.step_round` over `ROUNDS` rounds three times, and prints
-the median microseconds per round.  On a sampled graph (p_ss =
+the median microseconds per round.  It then times `harness.write_trajectories`
+on the records of those timed rounds, three times, and prints the median
+microseconds per exported row.  On a sampled graph (p_ss =
 `SAMPLED_P`) it is started at each n0 in `SAMPLED_SIZES`, each in a fresh
 process, timed the same way over `SAMPLED_ROUNDS` rounds; the script prints
 the median milliseconds per round, the median clearing map evaluations per
@@ -16,6 +18,7 @@ and the process's peak resident memory.
 """
 from __future__ import annotations
 
+import io
 import multiprocessing
 import resource
 import statistics
@@ -26,8 +29,9 @@ from dataclasses import replace
 import numpy as np
 
 from sysrisk.clearing import solve_clearing
-from sysrisk.harness import table4_spec
+from sysrisk.harness import table4_spec, write_trajectories
 from sysrisk.netgen import sample_network, sample_shocks
+from sysrisk.records import Trajectory
 from sysrisk.replicator import initial_state, step_round
 
 SIZES = (500, 50_000, 1_000_000)
@@ -41,20 +45,33 @@ TIMINGS = 3
 
 
 def round_cost(config, n0: int, rounds: int = ROUNDS,
-               warmup: int = WARMUP_ROUNDS) -> tuple[float, int]:
-    """Median microseconds per round over `TIMINGS` timings, and the final population."""
+               warmup: int = WARMUP_ROUNDS) -> tuple[float, int, list]:
+    """Median microseconds per round over `TIMINGS` timings, the final population, and
+    the timed rounds' records."""
     dyn = replace(config.dynamics, n0=n0)
     rng = np.random.default_rng(0)
     n1, n2 = initial_state(config.market, dyn, rng)
     for k in range(warmup):
         n1, n2, _ = step_round(k, n1, n2, config.market, dyn, rng)
-    timings = []
+    timings, records = [], []
     for t in range(TIMINGS):
         start = time.perf_counter()
         for k in range(warmup + t * rounds, warmup + (t + 1) * rounds):
-            n1, n2, _ = step_round(k, n1, n2, config.market, dyn, rng)
+            n1, n2, rec = step_round(k, n1, n2, config.market, dyn, rng)
+            records.append(rec)
         timings.append((time.perf_counter() - start) / rounds * 1e6)
-    return statistics.median(timings), n1 + n2
+    return statistics.median(timings), n1 + n2, records
+
+
+def export_cost(records: list) -> float:
+    """Median microseconds per row of `write_trajectories` on `records`, over `TIMINGS`."""
+    runs = [Trajectory(records=records, seed=0)]
+    timings = []
+    for _ in range(TIMINGS):
+        start = time.perf_counter()
+        write_trajectories(io.StringIO(), runs)
+        timings.append((time.perf_counter() - start) / len(records) * 1e6)
+    return statistics.median(timings)
 
 
 def sampled_sweeps(market, n0: int, eps0: float) -> float:
@@ -76,17 +93,17 @@ def sampled_round_cost(n0: int) -> tuple[float, int, float, float]:
     in MB over it, and then the median map evaluations per solve (`sampled_sweeps`)."""
     config = table4_spec().rows[0].config
     config = replace(config, market=replace(config.market, p_ss=SAMPLED_P))
-    cost, n_end = round_cost(config, n0, SAMPLED_ROUNDS, SAMPLED_WARMUP_ROUNDS)
+    cost, n_end, _ = round_cost(config, n0, SAMPLED_ROUNDS, SAMPLED_WARMUP_ROUNDS)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return cost / 1e3, n_end, peak, sampled_sweeps(config.market, n0, config.dynamics.eps0)
 
 
 def main() -> int:
     config = table4_spec().rows[0].config
-    print(f"complete graph\n{'n0':>9}  {'n at end':>9}  {'us/round':>9}")
+    print(f"complete graph\n{'n0':>9}  {'n at end':>9}  {'us/round':>9}  {'us/row':>9}")
     for n0 in SIZES:
-        cost, n_end = round_cost(config, n0)
-        print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}")
+        cost, n_end, records = round_cost(config, n0)
+        print(f"{n0:>9}  {n_end:>9}  {cost:>9.1f}  {export_cost(records):>9.2f}")
     print(f"\nsampled graph, p_ss = {SAMPLED_P}\n"
           f"{'n0':>9}  {'n at end':>9}  {'ms/round':>9}  {'map evals':>9}  {'peak MB':>9}")
     # one fresh process per size, so that each peak is the row's own

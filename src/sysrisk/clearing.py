@@ -13,7 +13,8 @@ point of one scalar piecewise-linear map (`class_fixed_point`, shared with the
 large-network limit in `analytic`).  `class_clearing` sets it up from the
 class sizes and certifies each class's own residual, not just T's; the
 count-level Monte-Carlo round calls it, and nothing clears that graph agent
-by agent.
+by agent.  Every round and limit point runs them, so they form loop-invariant
+products once and clamp by conditionals that equal `min`/`max` bit for bit.
 
 `solve_clearing` clears a sampled graph, agent by agent: it iterates
 T(X) = clip(b + N X, 0, y), b = k - v, N = sig2 * A >= 0.  Where every b > 0,
@@ -101,33 +102,36 @@ def class_fixed_point(weights: tuple[float, float], offsets: tuple[float, float]
     so a level below zero beyond rounding starts the scan where one stops.
     """
     (w_u, w_d), (a_u, a_d) = weights, offsets
-    top = head = y * (w_u + w_d)
+    top = head = hi = y * (w_u + w_d)
+    cap_u, cap_d, gain_u, gain_d = w_u * y, w_d * y, w_u * slope, w_d * slope
     level = w_u * a_u + w_d * a_d  # the map is T + level where both classes pay part of y
-    if (abs(1.0 - (w_u * slope + w_d * slope)) <= _SLACK  # ... if its slope there is 1
+    if (abs(1.0 - (gain_u + gain_d)) <= _SLACK  # ... if its slope there is 1
             and level < -_ROUNDING * (w_u * abs(a_u) + w_d * abs(a_d))):
         low = min(a_u, a_d) if w_u > 0.0 < w_d else a_u if w_u > 0.0 else a_d
-        head = min(top, -low / slope)  # above it every class with weight pays
-    kinks = [t for t in (-a_u / slope, (y - a_u) / slope, -a_d / slope, (y - a_d) / slope)
+        head = hi = min(top, -low / slope)  # above it every class with weight pays
+    knots = [t for t in (-a_u / slope, (y - a_u) / slope, -a_d / slope, (y - a_d) / slope)
              if 0.0 < t < head] if slope > 0.0 else []
-    knots = [head, *sorted(kinks, reverse=True), 0.0]
-    for hi, lo in zip(knots, knots[1:]):
+    knots.sort(reverse=True)  # the kinks in (0, head), scanned from head down to 0
+    knots.append(0.0)
+    for lo in knots:  # each piece [lo, hi]
         # a class pays y, 0 or part of y (so does a NaN, which then fails the check)
         mid = 0.5 * (lo + hi)
         pay_u, pay_d = a_u + slope * mid, a_d + slope * mid
-        gain = ((0.0 if pay_u >= y or pay_u <= 0.0 else w_u * slope)  # the map's slope at mid
-                + (0.0 if pay_d >= y or pay_d <= 0.0 else w_d * slope))
+        gain = ((0.0 if pay_u >= y or pay_u <= 0.0 else gain_u)  # the map's slope at mid
+                + (0.0 if pay_d >= y or pay_d <= 0.0 else gain_d))
         if abs(1.0 - gain) <= _SLACK:  # all or none of the piece is fixed
             t = hi
         else:  # the piece is the line level + gain * T; clip its fixed point to it
-            t = ((w_u * y if pay_u >= y else 0.0 if pay_u <= 0.0 else w_u * pay_u)
-                 + (w_d * y if pay_d >= y else 0.0 if pay_d <= 0.0 else w_d * pay_d)
+            t = ((cap_u if pay_u >= y else 0.0 if pay_u <= 0.0 else w_u * pay_u)
+                 + (cap_d if pay_d >= y else 0.0 if pay_d <= 0.0 else w_d * pay_d)
                  - gain * mid) / (1.0 - gain)
             t = lo if lo > t else hi if hi < t else t  # min(max(t, lo), hi), NaN kept
         pay_u, pay_d = a_u + slope * t, a_d + slope * t
-        miss = abs((w_u * y if pay_u >= y else 0.0 if pay_u <= 0.0 else w_u * pay_u)
-                   + (w_d * y if pay_d >= y else 0.0 if pay_d <= 0.0 else w_d * pay_d) - t)
+        miss = abs((cap_u if pay_u >= y else 0.0 if pay_u <= 0.0 else w_u * pay_u)
+                   + (cap_d if pay_d >= y else 0.0 if pay_d <= 0.0 else w_d * pay_d) - t)
         if miss <= _SLACK * top and share * miss <= _SLACK * y:
             return t
+        hi = lo
     raise SolverError(f"class clearing: no piece passes the residual check "
                       f"(weights={weights}, offsets={offsets}, slope={slope}, y={y})")
 
@@ -155,7 +159,9 @@ def class_clearing(y: float, w_g1: float, w_g2: float, n_u: int, n_d: int,
     slope = sig2 / (1.0 + sig2)
     a_u, a_d = b_u / (1.0 + sig2), b_d / (1.0 + sig2)
     t = class_fixed_point((n_u, n_d), (a_u, a_d), slope, y, sig2)
-    x_u, x_d = min(max(a_u + slope * t, 0.0), y), min(max(a_d + slope * t, 0.0), y)
+    x_u, x_d = a_u + slope * t, a_d + slope * t
+    x_u, x_d = 0.0 if x_u < 0.0 else x_u, 0.0 if x_d < 0.0 else x_d  # min(max(x, 0.0), y)
+    x_u, x_d = y if y < x_u else x_u, y if y < x_d else x_d           # bit for bit
     total = n_u * x_u + n_d * x_d
     return ClassClearing(x_u, x_d, w_g1 / y * total, sig2 * (total - x_u), sig2 * (total - x_d))
 
@@ -239,16 +245,16 @@ def surpluses(params: MarketParams, eps: float, y: float, claims_safe, *risky):
     A risk-free agent earns its endowment's return plus its claims, a risky one
     its proceeds `k` plus its claims less its debt y; both pay v first.  Returns
     the risk-free surplus, then one per (k, claims) pair of `risky`, as a list.
-    Takes arrays, one entry per agent, or floats, one per class, which `max`
-    clamps cheaply; the limit theory calls it per point, so a plain loop builds
-    the list (before Python 3.12 a comprehension costs a frame per call).
+    Takes arrays, one entry per agent, which `np.maximum` clamps, or floats, one
+    per class, clamped as `max(r, 0.0)` is, -0.0 and NaN kept, without its call.
     """
     v = params.v
-    clamp = np.maximum if isinstance(claims_safe, np.ndarray) else max
-    out = [clamp(params.w * eps * (1 + params.r_s) + claims_safe - v, 0.0)]
+    raw = [params.w * eps * (1 + params.r_s) + claims_safe - v]
     for k, claims in risky:
-        out.append(clamp(k + claims - v - y, 0.0))
-    return out
+        raw.append(k + claims - v - y)
+    if isinstance(claims_safe, np.ndarray):
+        return [np.maximum(r, 0.0) for r in raw]
+    return [0.0 if r < 0.0 else r for r in raw]
 
 
 def compute_returns(graph: LiabilityGraph, clearing: ClearingResult,

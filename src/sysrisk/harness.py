@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .analytic import drift_rates, thresholds
 from .model import DynamicsParams, MarketParams, ParamError
-from .odeflow import classify_attractors, flow_at_rounds, round_clock  # cli reads round_clock here
+from .odeflow import classify_attractors, flow_at_rounds, flow_path, round_clock  # cli reads it
 from .records import RoundRecord, Trajectory
 from .replicator import estimate_limit, run_simulation, tail_window
 
@@ -58,9 +58,11 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 # flat config files:  "market.w = 70" style, one key per line
 
-_MARKET_TYPES = typing.get_type_hints(MarketParams)
-_DYN_TYPES = typing.get_type_hints(DynamicsParams)
 _RUN_TYPES: dict[str, object] = {"seeds": "seeds", "label": str}
+# each section's key types, and what an unknown key in the section is called
+_SECTIONS = {"market": (typing.get_type_hints(MarketParams), "market parameter"),
+             "dynamics": (typing.get_type_hints(DynamicsParams), "dynamics parameter"),
+             "run": (_RUN_TYPES, "run option")}
 
 
 def parse_seeds(key: str, text: str) -> tuple[int, ...]:
@@ -106,44 +108,31 @@ def _render(value: object) -> str:
 
 def config_to_flat(config: ExperimentConfig) -> dict[str, str]:
     """Canonical flat representation, the basis of files and digests."""
-    flat: dict[str, str] = {}
-    for name, value in asdict(config.market).items():
-        flat[f"market.{name}"] = _render(value)
-    for name, value in asdict(config.dynamics).items():
-        flat[f"dynamics.{name}"] = _render(value)
+    flat = {f"{section}.{name}": _render(value) for section in ("market", "dynamics")
+            for name, value in asdict(getattr(config, section)).items()}
     for name in _RUN_TYPES:
         flat[f"run.{name}"] = _render(getattr(config, name))
     return flat
 
 
 def config_from_flat(flat: dict[str, str]) -> ExperimentConfig:
-    market_kw: dict[str, object] = {}
-    dyn_kw: dict[str, object] = {}
-    run_kw: dict[str, object] = {}
+    kw: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     for key, raw in flat.items():
         section, _, name = key.partition(".")
         if not name:
             raise ParamError(f"{key}: keys take the form section.name")
-        if section == "market":
-            if name not in _MARKET_TYPES:
-                raise ParamError(f"{key}: unknown market parameter")
-            market_kw[name] = _coerce(key, raw, _MARKET_TYPES[name])
-        elif section == "dynamics":
-            if name not in _DYN_TYPES:
-                raise ParamError(f"{key}: unknown dynamics parameter")
-            dyn_kw[name] = _coerce(key, raw, _DYN_TYPES[name])
-        elif section == "run":
-            if name not in _RUN_TYPES:
-                raise ParamError(f"{key}: unknown run option")
-            run_kw[name] = _coerce(key, raw, _RUN_TYPES[name])
-        else:
+        if section not in _SECTIONS:
             raise ParamError(f"{key}: unknown section {section!r}")
+        types, what = _SECTIONS[section]
+        if name not in types:
+            raise ParamError(f"{key}: unknown {what}")
+        kw[section][name] = _coerce(key, raw, types[name])
     try:
-        market = MarketParams(**market_kw)
-        dynamics = DynamicsParams(**dyn_kw)
+        market = MarketParams(**kw["market"])
+        dynamics = DynamicsParams(**kw["dynamics"])
     except TypeError as exc:  # a required field is missing
         raise ParamError(str(exc)) from None
-    return ExperimentConfig(market=market, dynamics=dynamics, **run_kw)
+    return ExperimentConfig(market=market, dynamics=dynamics, **kw["run"])
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -331,15 +320,12 @@ def reproduce_table(spec: TableSpec, out_dir: str | Path | None = None) -> Table
     physics, not sampling error).
     """
     payloads = [(row.config, seed, False) for row in spec.rows for seed in row.config.seeds]
-    results = _run_payloads(payloads)
+    results = iter(_run_payloads(payloads))
 
     rows: list[TableRow] = []
-    cursor = 0
     for row in spec.rows:
         config, dyn = row.config, row.config.dynamics
-        chunk = results[cursor:cursor + len(config.seeds)]
-        cursor += len(config.seeds)
-        tails = [tail for _, tail, _ in chunk]
+        tails = [next(results)[1] for _ in config.seeds]
         median, mean, stderr, escapes = _summarize(tails)
         th = thresholds(config.market, check=False)
         beta, _ = drift_rates(config.market, dyn)
@@ -377,43 +363,47 @@ def format_report(report: TableReport) -> str:
 # --------------------------------------------------------------------------
 # file output
 
+def _cells(values) -> str:
+    """One CSV line's cells, as `csv.writer` writes them (see `write_trajectories`)."""
+    return ",".join([repr(x) if isinstance(x, float) else "" if x is None else str(x)
+                     for x in values])
+
+
 def write_trajectories(path_or_file, trajectories: list[Trajectory]) -> None:
-    """Round-per-line CSV of runs, stacked over seeds.
+    """Round-per-line CSV of runs, stacked over seeds, in one write.
 
     A Monte-Carlo row is its `RoundRecord` followed by the seed.  A flow row
     (an `OdeState`) fills only eps and psi; every other column comes out
-    blank.  Accepts a path or an open text file (e.g. stdout).
+    blank.  A cell is what `csv.writer` writes: a float by repr, None empty,
+    any other value by str.  Accepts a path or an open text file (e.g. stdout).
     """
-    if hasattr(path_or_file, "write"):
-        _write_rows(path_or_file, trajectories)
-        return
-    with open(path_or_file, "w", newline="") as fh:
-        _write_rows(fh, trajectories)
-
-
-def _write_rows(fh, trajectories: list[Trajectory]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(TRAJECTORY_COLUMNS)
+    lines = [",".join(TRAJECTORY_COLUMNS)]
     for trajectory in trajectories:
-        seed = trajectory.seed
-        writer.writerows((*rec, seed) if isinstance(rec, RoundRecord)
-                         else (None, None, None, rec.eps, rec.psi, *_FLOW_BLANKS, seed)
-                         for rec in trajectory.records)
+        seed = _cells((trajectory.seed,))
+        for rec in trajectory.records:
+            if not isinstance(rec, RoundRecord):
+                rec = (None, None, None, rec.eps, rec.psi, *_FLOW_BLANKS)
+            lines.append(f"{_cells(rec)},{seed}")
+    lines.append("")
+    if hasattr(path_or_file, "write"):
+        path_or_file.write("\n".join(lines))
+    else:
+        Path(path_or_file).write_text("\n".join(lines), newline="")
 
 
 def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,
                first_round: int, last_round: int, every: int = 10) -> Trajectory:
     """Flow solution sampled on the round clock, as a trajectory of `OdeState`s.
 
-    One `flow_at_rounds` pass, so each row equals `ode_solution_departures`
-    at its `t` bit for bit.
+    One `flow_path` pass, so each row equals `ode_solution_departures` at its
+    `t` bit for bit.
     """
     if every < 1 or not 0 <= first_round <= last_round:
         raise ParamError(f"flow rounds: need every >= 1 and 0 <= first <= last, got "
                          f"every={every}, first={first_round}, last={last_round}")
-    return Trajectory(records=list(flow_at_rounds(
+    return Trajectory(records=flow_path(
         config.market, config.dynamics, eps0, psi0, config.dynamics.mean_L, first_round,
-        range(first_round, last_round + 1, every))))
+        range(first_round, last_round + 1, every)))
 
 
 def write_metadata(path: str | Path, config: ExperimentConfig,
@@ -602,16 +592,12 @@ class ContrastReport:
 def contrast_configs(n_seeds: int = 10) -> tuple[ExperimentConfig, ExperimentConfig]:
     market = _imitation_market(v=70.0)
     seeds = tuple(range(n_seeds))
-    adaptive = ExperimentConfig(
-        market=market,
-        dynamics=DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=2.0, b_n=0.8, b_s=0.8,
-                                n0=500, eps0=0.5, rounds=1500),
-        seeds=seeds, label="adaptive eps0=0.5")
-    frozen = ExperimentConfig(
-        market=market,
-        dynamics=DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=0.0, b_n=0.8, b_s=0.8,
-                                n0=500, eps0=0.0, rounds=1500),
-        seeds=seeds, label="frozen eps0=0")
+    dyn = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=2.0, b_n=0.8, b_s=0.8,
+                         n0=500, eps0=0.5, rounds=1500)
+    adaptive = ExperimentConfig(market=market, dynamics=dyn, seeds=seeds,
+                                label="adaptive eps0=0.5")
+    frozen = ExperimentConfig(market=market, seeds=seeds, label="frozen eps0=0",
+                              dynamics=replace(dyn, mean_L=0.0, bound_L=None, eps0=0.0))
     return adaptive, frozen
 
 

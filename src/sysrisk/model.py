@@ -123,7 +123,9 @@ class DynamicsParams:
     attempts and the departure cap.  bound_N / bound_L are almost-sure bounds,
     by default `count_bound(mean)`.  b_n / b_s are the probabilities of
     observing a return comparison correctly.  n0 is the starting population,
-    eps0 the starting risk-free fraction and rounds the horizon.
+    eps0 the starting risk-free fraction and rounds the horizon.  `chances`, not
+    a field, holds each round's N, S and L draw arguments (bound, mean/bound):
+    None, no draw, where the mean is <= 0 or the bound is 0.
     """
 
     mean_N: float
@@ -159,8 +161,11 @@ class DynamicsParams:
         _require(self.rounds >= 0, "rounds", "horizon cannot be negative")
         for name in ("bound_N", "bound_L", "n0", "rounds"):
             require_count(name, getattr(self, name))
-        # numpy draws each count from a C long
-        for name, bound in (("bound_N", self.bound_N), ("bound_L", self.bound_L),
-                            ("mean_S", count_bound(self.mean_S))):
-            _require(bound <= _MAX_DRAW_BOUND, name,
+        chances = []
+        for name, mean, bound in (("bound_N", self.mean_N, self.bound_N),
+                                  ("mean_S", self.mean_S, count_bound(self.mean_S)),
+                                  ("bound_L", self.mean_L, self.bound_L)):
+            _require(bound <= _MAX_DRAW_BOUND, name,  # numpy draws each count from a C long
                      f"count bound {bound} exceeds the largest drawable count 2**63 - 1")
+            chances.append((bound, mean / bound) if mean > 0.0 and bound > 0 else None)
+        object.__setattr__(self, "chances", tuple(chances))

@@ -17,10 +17,11 @@ side serves as an independent cross-check.
 Flow time is measured on the round clock: round j of a run that started
 from n0 agents advances it by 1/(j + n0).  `_round_clocks` alone forms and
 sums those terms, one lazy pass of exactly rounded sums that `round_clock`
-and the sampler `flow_at_rounds` read.  The flow table (a named tuple) owns
-the departures rule and the psi target; `_itinerary` alone walks its segments,
-and the attractor classification reads each basin's limit off its last leg.
-The module also houses the finite-round walker and the averaging dynamics' limit.
+and the samplers read: `flow_at_rounds` lazily, `flow_path` in full.  The
+flow table (a named tuple) owns the departures rule and the psi target;
+`_itinerary` alone walks its segments, and the attractor classification
+reads each basin's limit off its last leg.  The module also houses the
+finite-round walker and the averaging dynamics' limit.
 """
 from __future__ import annotations
 
@@ -381,6 +382,16 @@ def flow_at_rounds(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0:
     clock = _round_clocks(dyn.n0, chain((first,), ends))
     start = next(clock)
     return (_state_at(legs, total - start) for total in clock)
+
+
+def flow_path(params: MarketParams, dyn: DynamicsParams, eps0: float, psi0: float,
+              mean_L: float, first: int, ends: Iterable[int]) -> list[OdeState]:
+    """All of `flow_at_rounds`, bit for bit, in two loops, the clock and then the states:
+    for a caller that reads every state (one that may stop early keeps the lazy pass)."""
+    require_count("first", first)
+    legs = _flow_legs(params, dyn, eps0, psi0, mean_L)
+    start, *clock = _round_clocks(dyn.n0, chain((first,), ends))
+    return [_state_at(legs, total - start) for total in clock]
 
 
 def finite_round_estimate(params: MarketParams, dyn: DynamicsParams, eps0: float,

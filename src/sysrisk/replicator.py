@@ -5,7 +5,9 @@ freshly sampled liability network, then the population composition updates:
 incumbents imitate better-returning peers (switching), defaulted risky agents
 may leave (departures), and newcomers adopt the strategy of better-returning
 incumbents (arrivals).  All draws come from a single ``numpy`` Generator in a
-fixed order, so a run is fully determined by its seed.
+fixed order, so a run is fully determined by its seed.  A round's first draws
+are its arrival, switch-attempt and departure-cap counts, each a binomial on
+the chance that `DynamicsParams` forms once per run (`_draw_counts`).
 
 The state between rounds is two counts, the group sizes (n1, n2): agents
 carry no identity across rounds, because every round draws a fresh network.
@@ -38,7 +40,7 @@ import numpy as np
 
 from .clearing import (ReturnsVector, class_clearing, compute_returns, defaulted, solve_clearing,
                        surpluses)
-from .model import DynamicsParams, MarketParams, ParamError, count_bound, derive
+from .model import DynamicsParams, MarketParams, ParamError, derive
 from .netgen import edge_weights, sample_network, sample_shocks
 from .records import RoundRecord, Trajectory
 
@@ -57,22 +59,12 @@ def initial_state(params: MarketParams, dyn: DynamicsParams,
     return n1, n2
 
 
-def _draw_count(rng_stream: np.random.Generator, mean: float, bound: int) -> int:
-    """One arrival/switch/departure count: Binomial(bound, mean/bound)."""
-    if mean <= 0.0 or bound <= 0:
-        return 0
-    return int(rng_stream.binomial(bound, mean / bound))
-
-
 def _draw_counts(rng_stream: np.random.Generator, dyn: DynamicsParams) -> tuple[int, int, int]:
-    """The round's arrival, switch-attempt and departure-cap counts (N, S, L).
-
-    L is drawn only when departures are on (``mean_L > 0``).
-    """
-    N_k = _draw_count(rng_stream, dyn.mean_N, dyn.bound_N)
-    S_k = _draw_count(rng_stream, dyn.mean_S, count_bound(dyn.mean_S))
-    L_k = _draw_count(rng_stream, dyn.mean_L, dyn.bound_L) if dyn.mean_L > 0.0 else 0
-    return N_k, S_k, L_k
+    """The round's arrival, switch-attempt and departure-cap counts (N, S, L): each
+    drawn on its per-run `dyn.chances` entry, or 0, undrawn, where that is None."""
+    (N, S, L), binomial = dyn.chances, rng_stream.binomial
+    return (int(binomial(*N)) if N else 0, int(binomial(*S)) if S else 0,
+            int(binomial(*L)) if L else 0)
 
 
 def _clip_departures(k: int, D: int, room: int) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import replace
 from typing import NamedTuple
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from sysrisk import MarketParams
+from sysrisk import MarketParams, clearing
 from sysrisk.analytic import clearing_limit
 from sysrisk.clearing import (
     ClearingResult,
@@ -19,6 +20,7 @@ from sysrisk.clearing import (
     compute_returns,
     default_stats,
     solve_clearing,
+    surpluses,
 )
 from sysrisk.model import SolverError, derive
 from sysrisk.netgen import (
@@ -394,6 +396,48 @@ def test_class_fixed_point_raises_when_nothing_passes():
     # a NaN offset: no candidate can pass the residual check, so none is returned
     with pytest.raises(SolverError):
         class_fixed_point((1.0, 1.0), (float("nan"), 0.5), 0.5, 1.0)
+
+
+# raw values for the float clamps: signed zeros, the smallest subnormals, infinities and
+# NaN, next to arbitrary floats
+_RAW = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+                 st.floats())
+
+
+def _hex(x: float) -> str:
+    """A float's exact bits as text; every NaN reads alike."""
+    return "nan" if math.isnan(x) else float.hex(x)
+
+
+@given(eps=_RAW, y=_RAW, claims_safe=_RAW, k=_RAW, claims=_RAW)
+@example(eps=-0.0, y=0.0, claims_safe=-0.0, k=-0.0, claims=-0.0)  # raw -0.0 in both
+@example(eps=0.0, y=0.0, claims_safe=0.0, k=0.0, claims=0.0)      # raw 0.0 in both
+@example(eps=0.5, y=1.0, claims_safe=math.nan, k=1.0, claims=math.nan)  # NaN claims
+def test_float_surpluses_clamp_as_max(zero_v_market, eps, y, claims_safe, k, claims):
+    # on floats, surpluses returns max(raw, 0.0) bit for bit, -0.0 and NaN included
+    m = zero_v_market
+    raw = (m.w * eps * (1 + m.r_s) + claims_safe - m.v, k + claims - m.v - y)
+    got = surpluses(m, eps, y, claims_safe, (k, claims))
+    assert [_hex(r) for r in got] == [_hex(max(r, 0.0)) for r in raw]
+    # the array path keeps np.maximum, which differs from max at a raw -0.0: it gives
+    # 0.0 where max gives -0.0.  That is the code's behaviour, stated here, not tested.
+
+
+@given(t=_RAW, y=_RAW.filter(lambda y: y != 0.0), w_g2=st.one_of(st.just(0.0), st.floats(0.0)),
+       b_u=_RAW, b_d=_RAW)
+@example(t=-0.0, y=1.0, w_g2=0.0, b_u=-0.0, b_d=0.0)      # raw -0.0 and 0.0
+@example(t=3.0, y=2.5, w_g2=0.0, b_u=2.5, b_d=-1e-300)    # raw exactly y, and just below 0
+@example(t=math.nan, y=1.0, w_g2=0.5, b_u=0.5, b_d=0.5)   # a NaN total: NaN claims
+def test_class_clip_is_min_of_max(t, y, w_g2, b_u, b_d):
+    # class_clearing clips each class's raw payment a_c + slope * t exactly as
+    # min(max(raw, 0.0), y) does; t is the fixed point it is handed
+    sig2 = w_g2 / y
+    slope = sig2 / (1.0 + sig2)
+    raw = (b_u / (1.0 + sig2) + slope * t, b_d / (1.0 + sig2) + slope * t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clearing, "class_fixed_point", lambda *args: t)
+        cc = class_clearing(y, 1.0, w_g2, 3, 2, b_u, b_d)
+    assert [_hex(cc.x_u), _hex(cc.x_d)] == [_hex(min(max(r, 0.0), y)) for r in raw]
 
 
 @settings(max_examples=200, deadline=None)

@@ -178,6 +178,29 @@ def test_shipped_config_stream_pins(name):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == STREAM_PINS[name]
 
 
+# SHA-256 of seed-0 exports of `trajectory_mid_start.txt` over 200 rounds at the edges of
+# the draw-skip rule: mean_S = 0 draws no switch attempts and mean_L = 0 no departure cap,
+# while bound_N = mean_N = 7 gives arrivals a chance of exactly 1, a draw that still takes
+# from the stream, so skipping it moves every later draw and the digest.  Recorded before
+# the counts' chances were formed once per run.  (numpy takes nothing from the stream for
+# a binomial of chance 0, so at a mean of 0 these pin the zero counts and what follows.)
+DRAW_SKIP_PINS = {
+    "mean_S": (0.0, "b9d2a1161ce9ffd1370892c9c4b4387bffdf15eec026d621aba8fae05f0f5bd0"),
+    "mean_L": (0.0, "66a1a22ad65c63552e964abcb71bf0c419e941f3db1240508c87208bc340d3e1"),
+    "bound_N": (7, "930590fe7cc91124294fc8d894cb75f21cfb6b1744d776cac142b88f5ec0b8a4"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(DRAW_SKIP_PINS))
+def test_draw_skip_rule_stream_pins(field):
+    value, digest = DRAW_SKIP_PINS[field]
+    config = load_config(ROOT / "configs" / "trajectory_mid_start.txt")
+    config = replace(config, dynamics=replace(config.dynamics, rounds=200, **{field: value}))
+    buf = io.StringIO()
+    write_trajectories(buf, [run_simulation(config, 0)])
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
 # SHA-256 of the trajectory export of `trajectory_mid_start.txt` on a sampled graph
 # (p_ss = 0.5, n0 = 200, 30 rounds) over seeds 0 and 1.  It pins the agent-by-agent
 # round (`replicator._agent_round` and `_agent_flows`): the network, shock and flow
@@ -239,6 +262,36 @@ def test_flow_export_blanks_integer_columns(mini_config):
         assert float(row["psi"]) == rec.psi
     # eps stays a valid fraction along the curve
     assert all(0.0 <= rec.eps <= 1.0 for rec in traj.records)
+
+
+def _csv_module_export(trajectories) -> str:
+    """The export as `csv.writer` writes it, row for row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRAJECTORY_COLUMNS)
+    for traj in trajectories:
+        writer.writerows((*rec, traj.seed) if isinstance(rec, RoundRecord)
+                         else (None, None, None, rec.eps, rec.psi, *(None,) * 7, traj.seed)
+                         for rec in traj.records)
+    return buf.getvalue()
+
+
+def test_export_matches_the_csv_module(tmp_path, mini_config):
+    # the joined writer formats each cell as csv.writer does: a float by repr, None
+    # empty, any other value by str; through an open file and through a path alike
+    odd = [RoundRecord(0, 2, 0, 0.0, 1.0, -0.0, 0, 0, 0, 0, None, 1e300),
+           RoundRecord(1, 2, 2, 1.0, 1e-300, 5e-324, 1, 2, 0, 0, -0.0, None),
+           RoundRecord(2, 3, 1, 1 / 3, math.inf, math.nan, 0, 0, 1, 1, -math.inf, 0.1)]
+    all_risky = replace(mini_config, dynamics=replace(mini_config.dynamics, eps0=0.0, rounds=5))
+    runs = [Trajectory(records=odd, seed=7), run_simulation(all_risky, 3),
+            flow_curve(mini_config, 0.95, 1.0, 0, 100, every=10)]
+    assert runs[1].records[0].mean_r1 is None and runs[2].seed is None
+    expected = _csv_module_export(runs)
+    buf = io.StringIO()
+    write_trajectories(buf, runs)
+    assert buf.getvalue() == expected
+    write_trajectories(tmp_path / "runs.csv", runs)
+    assert (tmp_path / "runs.csv").read_bytes() == expected.encode()
 
 
 def test_metadata_file(tmp_path, mini_config):

@@ -24,6 +24,7 @@ from sysrisk.odeflow import (
     classify_attractors,
     finite_round_estimate,
     flow_at_rounds,
+    flow_path,
     ode_numeric,
     ode_solution,
     ode_solution_departures,
@@ -240,6 +241,9 @@ def test_flow_at_rounds_is_the_flow_over_each_clock_difference(
     flow = ode_solution_departures if departures else ode_solution
     got = list(flow_at_rounds(market, dyn, eps0, psi0, dyn.mean_L, first, ends))
     assert len(got) == len(ends)
+    # flow_path reads the same states in two loops, the clock first
+    path = flow_path(market, dyn, eps0, psi0, dyn.mean_L, first, ends)
+    assert [_bits(state) for state in path] == [_bits(state) for state in got]
     for end, state in zip(ends, got):
         t = _clock(n0, end) - _clock(n0, first)
         assert _bits(state) == _bits(flow(market, dyn, eps0, psi0, t))
@@ -252,9 +256,10 @@ def test_flow_at_rounds_is_the_flow_over_each_clock_difference(
                                                (10, (20, 30, 29), "ends")])  # decreasing
 def test_flow_at_rounds_rejects_rounds_out_of_order(growth_market, growth_dyn,
                                                     first, ends, name):
-    with pytest.raises(ParamError, match=f"^{name}: ") as exc:
-        list(flow_at_rounds(growth_market, growth_dyn, 0.85, 1.0, 0.0, first, ends))
-    assert "\n" not in str(exc.value)
+    for sample in (lambda *args: list(flow_at_rounds(*args)), flow_path):
+        with pytest.raises(ParamError, match=f"^{name}: ") as exc:
+            sample(growth_market, growth_dyn, 0.85, 1.0, 0.0, first, ends)
+        assert "\n" not in str(exc.value)
 
 
 def test_classifier_growth(growth_market, growth_dyn):

@@ -42,8 +42,12 @@ def test_analytic_curves_prints_the_average_return_limit(tmp_path, monkeypatch, 
 
 def test_round_cost_plays_rounds():
     round_cost = _load(SCRIPTS / "round_cost.py")
-    cost, n_end = round_cost.round_cost(table4_spec(1).rows[0].config, 50, rounds=3, warmup=1)
+    cost, n_end, records = round_cost.round_cost(table4_spec(1).rows[0].config, 50, rounds=3,
+                                                 warmup=1)
     assert cost > 0.0 and n_end >= 2
+    # the timed rounds' records, in order, and what exporting them costs per row
+    assert [rec.round for rec in records] == list(range(1, 1 + 3 * round_cost.TIMINGS))
+    assert round_cost.export_cost(records) > 0.0
 
 
 def test_round_cost_clears_sampled_rounds():
