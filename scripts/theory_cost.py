@@ -5,7 +5,9 @@
   4 000 every 10 rounds, started at the config's eps0 with psi = 1:
   milliseconds per curve;
 - `finite_round_estimate` on the growth market from eps0 = 0.85 for
-  k = 100..999 rounds (the criterion-7 walker): microseconds per call;
+  k = 100..999 rounds (the criterion-7 walker): microseconds per call, once
+  with the shared flow table and once with the table cache cleared before
+  each call, so that every call builds its table;
 - the same 900 values from one `flow_at_rounds` pass: microseconds per value;
 - the 1 001-point limit grid (`clearing_limit`, `limit_returns` and
   `q_eps` at eps = i/1000) per market: milliseconds per grid;
@@ -35,7 +37,7 @@ import sys
 import time
 from dataclasses import replace
 
-from sysrisk import DynamicsParams, MarketParams
+from sysrisk import DynamicsParams, MarketParams, odeflow
 from sysrisk.analytic import clearing_limit, limit_returns, q_eps
 from sysrisk.ess import check_avg_ess, check_mixed_ess, check_multi_mutation
 from sysrisk.harness import (assert_horizon, figure_configs, flow_curve, table2_spec,
@@ -79,6 +81,10 @@ def main() -> int:
     cost = median_seconds(lambda: [finite_round_estimate(GROWTH, WALKER_DYN, 0.85, 0, k)
                                    for k in WALKER_ROUNDS])
     print(f"{'finite_round_estimate':<40} {cost / len(WALKER_ROUNDS) * 1e6:>7.1f} us")
+    cost = median_seconds(lambda: [(odeflow._built_flow_table.cache_clear(),
+                                    finite_round_estimate(GROWTH, WALKER_DYN, 0.85, 0, k))
+                                   for k in WALKER_ROUNDS])
+    print(f"{'finite_round_estimate, cold table':<40} {cost / len(WALKER_ROUNDS) * 1e6:>7.1f} us")
     cost = median_seconds(lambda: list(flow_at_rounds(GROWTH, WALKER_DYN, 0.85, 1.0, 0.0, 0,
                                                       WALKER_ROUNDS)))
     print(f"{'finite_round_estimate, batch':<40} {cost / len(WALKER_ROUNDS) * 1e6:>7.1f} us")

@@ -17,6 +17,7 @@ import os
 import statistics
 import typing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from .replicator import estimate_limit, run_simulation, tail_window
 log = logging.getLogger(__name__)
 
 TRAJECTORY_COLUMNS = (*RoundRecord._fields, "seed")
-_FLOW_BLANKS = (None,) * 7  # a flow row's default_frac .. mean_r2
 
 
 @dataclass(frozen=True)
@@ -363,32 +363,25 @@ def format_report(report: TableReport) -> str:
 # --------------------------------------------------------------------------
 # file output
 
-def _cells(values) -> str:
-    """One CSV line's cells, as `csv.writer` writes them (see `write_trajectories`)."""
-    return ",".join([repr(x) if isinstance(x, float) else "" if x is None else str(x)
-                     for x in values])
-
-
 def write_trajectories(path_or_file, trajectories: list[Trajectory]) -> None:
-    """Round-per-line CSV of runs, stacked over seeds, in one write.
+    """Round-per-line CSV of runs, stacked over seeds, one write per run.
 
-    A Monte-Carlo row is its `RoundRecord` followed by the seed.  A flow row
-    (an `OdeState`) fills only eps and psi; every other column comes out
-    blank.  A cell is what `csv.writer` writes: a float by repr, None empty,
-    any other value by str.  Accepts a path or an open text file (e.g. stdout).
+    A Monte-Carlo row is its `RoundRecord` followed by the seed: ints by str,
+    floats by repr, a None mean return empty.  A flow row (an `OdeState`)
+    fills only eps and psi; every other column comes out blank.  Each cell is
+    what `csv.writer` writes.  Accepts a path or an open text file (e.g. stdout).
     """
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for trajectory in trajectories:
-        seed = _cells((trajectory.seed,))
-        for rec in trajectory.records:
-            if not isinstance(rec, RoundRecord):
-                rec = (None, None, None, rec.eps, rec.psi, *_FLOW_BLANKS)
-            lines.append(f"{_cells(rec)},{seed}")
-    lines.append("")
-    if hasattr(path_or_file, "write"):
-        path_or_file.write("\n".join(lines))
-    else:
-        Path(path_or_file).write_text("\n".join(lines), newline="")
+    with (nullcontext(path_or_file) if hasattr(path_or_file, "write")
+          else open(path_or_file, "w", newline="")) as out:
+        out.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        for trajectory in trajectories:  # a run's rows are all of one kind
+            seed, recs = "" if trajectory.seed is None else trajectory.seed, trajectory.records
+            out.write("".join(
+                [f"{k},{n},{n1},{eps!r},{psi!r},{frac!r},{xi},{x1},{x2},{dep},"
+                 f"{'' if r1 is None else repr(r1)},{'' if r2 is None else repr(r2)},"
+                 f"{seed}\n" for k, n, n1, eps, psi, frac, xi, x1, x2, dep, r1, r2 in recs]
+                if recs and isinstance(recs[0], RoundRecord)
+                else [f",,,{rec.eps!r},{rec.psi!r},,,,,,,,{seed}\n" for rec in recs]))
 
 
 def flow_curve(config: ExperimentConfig, eps0: float, psi0: float,

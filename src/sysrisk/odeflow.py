@@ -18,13 +18,15 @@ Flow time is measured on the round clock: round j of a run that started
 from n0 agents advances it by 1/(j + n0).  `_round_clocks` alone forms and
 sums those terms, one lazy pass of exactly rounded sums that `round_clock`
 and the samplers read: `flow_at_rounds` lazily, `flow_path` in full.  The
-flow table (a named tuple) owns the departures rule and the psi target;
-`_itinerary` alone walks its segments, and the attractor classification
-reads each basin's limit off its last leg.  The module also houses the
-finite-round walker and the averaging dynamics' limit.
+flow table (a named tuple) owns the departures rule and the psi target; it
+is built once per (market, drift rates, mean_N, mean_L), a key that keeps
+signed zeros, and shared.  `_itinerary` alone walks its segments, and the
+attractor classification reads each basin's limit off its last leg.  The
+module also houses the finite-round walker and the averaging dynamics' limit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -61,7 +63,7 @@ class _Segment:
 
 
 class _FlowTable(NamedTuple):
-    """Everything a flow run needs from the market, built once per run.
+    """Everything a flow run needs from the market, built once per `_flow_table` key.
 
     `segs` partitions [0, 1] at the thresholds eps_bar_1 and eps_bar.  The
     table owns the flow's two rules: `departures_at` (defaulters leave above
@@ -87,14 +89,29 @@ class _FlowTable(NamedTuple):
         return self.mean_N - self.departures_at(eps)
 
 
+_FLOW_TABLES = 32  # tables kept: a table or figure run reads a handful of markets
+
+
 def _flow_table(params: MarketParams, dyn: DynamicsParams, mean_L: float) -> _FlowTable:
+    """The table, built once per key: the market, `drift_rates`, mean_N and mean_L."""
     if dyn.mean_N <= 0:
         raise ParamError("mean_N: the population flow needs a positive arrival mean")
-    th = thresholds(params, check=False)
     beta, k1 = drift_rates(params, dyn)
+    key = (*vars(params).values(), beta, k1, dyn.mean_N, mean_L)
+    # == equates 1 with 1.0 and -0.0 with 0.0: the cache also keys on types and zeros' signs
+    # (unpacked, as tuple(map(...)) fills the 13-tuple free list: 0.3 MB kept for good)
+    exact = (*map(type, key), *[math.copysign(1.0, x) for x in key if x == 0])
+    return _built_flow_table(params, beta, k1, dyn.mean_N, mean_L, exact)
+
+
+@functools.lru_cache(maxsize=_FLOW_TABLES)  # a build that raises is not kept
+def _built_flow_table(params: MarketParams, beta: float, k1: float, mean_N: float,
+                      mean_L: float, exact: tuple) -> _FlowTable:
+    """`_flow_table`'s build; `exact` only keys the cache."""
+    th = thresholds(params, check=False)
     e1, eb = th.eps_bar_1, th.eps_bar
     p0 = clearing_limit(params, 0.0).p_d if mean_L > 0 else 0.0
-    table = _FlowTable((), e1, p0, mean_L, dyn.mean_N)  # segs come from its rules
+    table = _FlowTable((), e1, p0, mean_L, mean_N)  # segs come from its rules
     edges = [0.0] + sorted(e for e in {e1, eb} if 0.0 < e < 1.0) + [1.0]
     segs = []
     for lo, hi in zip(edges, edges[1:]):
@@ -107,7 +124,7 @@ def _flow_table(params: MarketParams, dyn: DynamicsParams, mean_L: float) -> _Fl
             raise DegenerateFlowError(
                 f"flow interval [{lo:g}, {hi:g}] has logistic midpoint mu = 0")
         segs.append(_Segment(lo, hi, kappa, e_dep, a))
-    return _FlowTable(tuple(segs), e1, p0, mean_L, dyn.mean_N)
+    return _FlowTable(tuple(segs), e1, p0, mean_L, mean_N)
 
 
 def _psi_after(a: float, psi0: float, dt: float) -> float:

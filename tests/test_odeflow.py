@@ -1,6 +1,7 @@
 """Continuous-time flow: closed forms, RK4 cross-check, attractor report."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -309,6 +310,99 @@ def test_degenerate_flow(imitation_market, imitation_dynamics):
     with pytest.raises(DegenerateFlowError):
         ode_solution_departures(imitation_market, bad, 0.4, 1.0, 1.0)
     assert issubclass(DegenerateFlowError, ParamError)
+
+
+def _bits(value):
+    """value with every float spelled by `float.hex`: -0.0, 0.0 and 0 all differ."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        value = tuple(vars(value).values())
+    if isinstance(value, tuple):
+        return tuple(_bits(item) for item in value)
+    return value
+
+
+def _cold(call):
+    """call's result from an empty table cache: every table it reads is built for it."""
+    odeflow._built_flow_table.cache_clear()
+    return call()
+
+
+def _flow_calls():
+    """Each table and figure flow's itinerary from its eps0, and its attractor report."""
+    calls = []
+    for config in FLOWS.values():
+        market, dyn = config.market, config.dynamics
+        calls.append(lambda m=market, d=dyn: _flow_legs(m, d, d.eps0, 1.0, d.mean_L))
+        calls.append(lambda m=market, d=dyn: classify_attractors(m, d))
+    return calls
+
+
+def test_shared_flow_table_changes_no_bit(growth_market, growth_dyn):
+    # the 18 table and figure flows and the criterion-7 walker give the same bits from a
+    # cold table cache as from a warm one, the warm pass in reverse order so that each
+    # table was last built or read for another call
+    calls = _flow_calls() + [
+        lambda k=k: finite_round_estimate(growth_market, growth_dyn, 0.85, 0, k)
+        for k in range(100, 1000)]
+    cold = [_bits(_cold(call)) for call in calls]
+    hits = odeflow._built_flow_table.cache_info().hits
+    warm = [_bits(call()) for call in reversed(calls)][::-1]
+    assert odeflow._built_flow_table.cache_info().hits - hits >= len(calls) - 32
+    assert warm == cold
+
+
+def test_flow_table_key_keeps_signed_zeros_and_types(imitation_market, imit_dep_dynamics):
+    # == holds between 0.0 and -0.0 and between 7 and 7.0, yet a -0.0 departure mass
+    # builds -0.0 fields and integer means build integer targets: the cache must not
+    # hand one caller's table to the other, in either call order
+    ints = DynamicsParams(mean_N=7, mean_S=6, b_n=0.8, b_s=0.8, n0=500, rounds=4000)
+    floats = replace(ints, mean_N=7.0, mean_S=6.0)
+    for first, second in (((imit_dep_dynamics, 0.0), (imit_dep_dynamics, -0.0)),
+                          ((floats, 0.0), (ints, 0))):
+        cold = [_bits(_cold(lambda: _flow_table(imitation_market, dyn, mean_L)))
+                for dyn, mean_L in (first, second)]
+        assert cold[0] != cold[1]
+        for order in ((first, second), (second, first)):
+            odeflow._built_flow_table.cache_clear()
+            for case in order * 2:
+                got = _bits(_flow_table(imitation_market, *case))
+                assert got == cold[0 if case is first else 1]
+    table = _flow_table(imitation_market, imit_dep_dynamics, -0.0)
+    assert [_bits(x) for x in (table.mean_L, table.segs[-1].e_dep)] == ["-0x0.0p+0"] * 2
+
+
+def test_flow_table_errors_fire_on_every_call(imitation_market, imitation_dynamics):
+    # a build that raises is not kept: each bad call raises twice in a row, and again
+    # right after a cache hit for the same market
+    _, kappa = drift_rates(imitation_market, imitation_dynamics)
+    degenerate = DynamicsParams(mean_N=7.0, mean_S=6.0, mean_L=-kappa,
+                                b_n=0.8, b_s=0.8, n0=500, rounds=4000)
+    cases = [  # (a good call on the market, a bad one, the error and its message)
+        (lambda: _flow_table(imitation_market, imitation_dynamics, 0.0),
+         lambda: _flow_table(imitation_market, replace(imitation_dynamics, mean_N=0.0,
+                                                       bound_N=None), 0.0),
+         ParamError, "^mean_N: the population flow needs a positive arrival mean"),
+        (lambda: _flow_table(imitation_market, imitation_dynamics, 0.0),
+         lambda: _flow_table(imitation_market, imitation_dynamics, imitation_dynamics.mean_N),
+         ParamError, "^mean_L: departures must stay below arrivals"),
+        (lambda: ode_solution(imitation_market, degenerate, 0.4, 1.0, 1.0),
+         lambda: ode_solution_departures(imitation_market, degenerate, 0.4, 1.0, 1.0),
+         DegenerateFlowError, "logistic midpoint mu = 0"),
+    ]
+    for good, bad, error, message in cases:
+        odeflow._built_flow_table.cache_clear()
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                bad()
+        good()
+        for _ in range(2):
+            hits = odeflow._built_flow_table.cache_info().hits
+            good()
+            assert odeflow._built_flow_table.cache_info().hits == hits + 1
+            with pytest.raises(error, match=message):
+                bad()
 
 
 def test_balanced_flow_holds_eps(growth_market):
